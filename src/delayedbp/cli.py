@@ -73,6 +73,8 @@ def parse_config(text: str) -> ModelSpec:
         _require("means" in off_doc, "offspring.means", "missing required field")
         _require("pmfs" not in off_doc, "offspring.pmfs",
                  "not allowed for poisson kind")
+        _require(isinstance(off_doc["means"], dict), "offspring.means",
+                 "must be an object keyed by delay")
         means = {}
         for key, grid in off_doc["means"].items():
             d = _parse_delay_key(key, "offspring.means")
@@ -83,6 +85,8 @@ def parse_config(text: str) -> ModelSpec:
         _require("pmfs" in off_doc, "offspring.pmfs", "missing required field")
         _require("means" not in off_doc, "offspring.means",
                  "not allowed for pmf kind")
+        _require(isinstance(off_doc["pmfs"], dict), "offspring.pmfs",
+                 "must be an object keyed by delay")
         pmfs = {}
         for key, grid in off_doc["pmfs"].items():
             d = _parse_delay_key(key, "offspring.pmfs")
@@ -441,7 +445,12 @@ def _cmd_generate(args) -> int:
     _require(("h" in doc) != ("nu" in doc), "h",
              "exactly one of 'h' (forward) or 'nu' (time-reversed) is required")
     p = np.array(doc["P"], dtype=float)
-    rhos = {int(k): float(v) for k, v in doc["rhos"].items()}
+    _require(isinstance(doc["rhos"], dict), "rhos", "must be an object keyed by delay")
+    rhos = {}
+    for key, value in doc["rhos"].items():
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 f"rhos.{key}", "must be a number")
+        rhos[_parse_delay_key(key, "rhos")] = float(value)
     if "h" in doc:
         family = spec_mod.construct_shared_family(p, np.array(doc["h"], float), rhos)
     else:

@@ -36,9 +36,14 @@ class NonIrreducibleError(DelayedBPError):
 
 
 class NoConvergenceError(DelayedBPError):
-    def __init__(self, max_iters):
-        self.max_iters = max_iters
-        super().__init__(f"power iteration failed to converge in {max_iters} iterations")
+    """The P-F residual missed its tolerance when the shift-and-invert
+    iteration stopped."""
+
+    def __init__(self, iterations):
+        self.iterations = iterations
+        super().__init__(
+            f"shift-and-invert P-F iteration missed its tolerance after "
+            f"{iterations} iterations")
 
 
 class NotStochasticError(DelayedBPError):

@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailureError, NotCriticalError
-from .spectral import PFData, family_pf, matrix_inf_norm, pf_decompose
+from .spectral import (SHARING_TOL, PFData, family_pf, matrix_inf_norm,
+                       pf_decompose, pf_deviation)
 
 RHO_MIN = 1e-9
 RHO_MAX = 1e9
+MAX_EXPANSIONS = 200  # bracket doublings per end
+MAX_NEWTON = 100  # safeguarded Newton steps; 3-6 are typical
+NEWTON_STEP_TOL = 1e-9
 
 
 def mixture_matrix(family, rho: float) -> np.ndarray:
@@ -32,8 +36,19 @@ def mixture_matrix(family, rho: float) -> np.ndarray:
     return out
 
 
-def _growth_eigenvalue(family, rho: float, tol: float) -> float:
-    return pf_decompose(mixture_matrix(family, rho), tol).rho
+def _log_growth(family, rho: float, tol: float) -> tuple[float, float]:
+    """g = log of the P-F eigenvalue lambda of sum_d rho^{-d} M_d, and its
+    derivative in t = log(rho).
+
+    First-order P-F perturbation (nu'h = 1) gives
+    d lambda/dt = nu' (sum_d -d rho^{-d} M_d) h, so dg/dt is that over lambda.
+    g is decreasing and convex in t, since the spectral radius of a matrix
+    with log-convex entries is log-convex (Kingman, 1961).
+    """
+    pf = pf_decompose(mixture_matrix(family, rho), tol)
+    slope = -math.fsum(d * rho ** (-d) * float(pf.nu @ mat @ pf.h)
+                       for d, mat in family.items())
+    return math.log(pf.rho), slope / pf.rho
 
 
 @dataclass(frozen=True)
@@ -85,11 +100,14 @@ def build_companion(family, tol: float = 1e-12) -> CompanionSystem:
 def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> MalthusianSolution:
     """Find rho_hat > 0 with P-F eigenvalue of sum_d rho_hat^{-d} M_d equal 1.
 
-    The map rho -> eigenvalue is strictly decreasing, so bisection on
-    log(rho) is safe.  The initial bracket comes from per-matrix eigenvalues
-    (lower end) and row-sum norms (upper end); if that bracket is somehow
-    invalid the search expands inside [1e-9, 1e9] before giving up with
-    BracketFailureError.
+    The root of g(t) = log(eigenvalue) at t = log(rho) is found by Newton's
+    method with the closed-form slope from the P-F triple (see
+    ``_log_growth``), safeguarded by a bracket: a step that leaves the
+    bracket is replaced by bisection.  Since g is decreasing and convex,
+    Newton converges from either end in a handful of steps.  The initial
+    bracket comes from per-matrix eigenvalues (lower end) and row-sum norms
+    (upper end); if that bracket is somehow invalid the search expands inside
+    [1e-9, 1e9] before giving up with BracketFailureError.
 
     The step distribution beta_d = rho_d * exp(-theta*d) sums to one exactly
     when the family shares P-F eigenvectors; otherwise a warning is attached
@@ -107,40 +125,49 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     lo = min(max(min(lo, hi), RHO_MIN), RHO_MAX)
     hi = min(max(lo, hi), RHO_MAX)
 
-    def phi(rho):
-        return _growth_eigenvalue(family, rho, tol)
+    def growth(rho):
+        return _log_growth(family, rho, tol)
 
     # widen defensively if rounding pushed the analytic bracket off the root
-    expand = 0
-    while phi(lo) < 1.0 and lo > RHO_MIN:
+    g_lo = growth(lo)
+    for _ in range(MAX_EXPANSIONS):
+        if g_lo[0] >= 0.0 or lo <= RHO_MIN:
+            break
         lo = max(lo / 2.0, RHO_MIN)
-        expand += 1
-        if expand > 200:
+        g_lo = growth(lo)
+    g_hi = growth(hi)
+    for _ in range(MAX_EXPANSIONS):
+        if g_hi[0] <= 0.0 or hi >= RHO_MAX:
             break
-    expand = 0
-    while phi(hi) > 1.0 and hi < RHO_MAX:
         hi = min(hi * 2.0, RHO_MAX)
-        expand += 1
-        if expand > 200:
-            break
-    if phi(lo) < 1.0 or phi(hi) > 1.0:
+        g_hi = growth(hi)
+    if g_lo[0] < 0.0 or g_hi[0] > 0.0:
         raise BracketFailureError(
             f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
 
     t_lo, t_hi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        val = phi(math.exp(mid))
-        if val == 1.0:
-            t_lo = t_hi = mid
+    t, (g, slope) = (t_lo, g_lo) if g_lo[0] <= -g_hi[0] else (t_hi, g_hi)
+    for _ in range(MAX_NEWTON):
+        if g == 0.0:
             break
-        if val > 1.0:
-            t_lo = mid
+        step = -g / slope if slope < 0.0 else math.inf
+        if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(t)):
+            # quadratic convergence: the error left after this step is far
+            # below the rounding of g, so it needs no evaluation
+            t += step
+            break
+        if t_lo < t + step < t_hi:
+            t += step
         else:
-            t_hi = mid
-        if t_hi - t_lo <= 1e-16 * (1.0 + abs(mid)):
+            t = 0.5 * (t_lo + t_hi)
+        g, slope = growth(math.exp(t))
+        if g > 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+        if t_hi - t_lo <= 1e-16 * (1.0 + abs(t)):
             break
-    theta = 0.5 * (t_lo + t_hi)
+    theta = t
     rho_hat = math.exp(theta)
 
     beta = {d: rho_d[d] * math.exp(-theta * d) for d in family.delays}
@@ -153,12 +180,7 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
             "share P-F eigenvectors and beta is not a probability vector")
 
     # sharing is cheap to detect here since per-delay P-F data is in hand
-    base = family.delays[0]
-    dev = max(
-        max(float(np.max(np.abs(pf[d].h - pf[base].h))),
-            float(np.max(np.abs(pf[d].nu - pf[base].nu))))
-        for d in family.delays)
-    if dev <= 1e-8:
+    if pf_deviation(pf) <= SHARING_TOL:
         total = math.fsum(rho_d.values())
         if abs(total - 1.0) <= crit_tol:
             regime = "critical"

@@ -20,6 +20,7 @@ from .errors import NoConvergenceError, NotStochasticError
 
 DEFAULT_TOL = 1e-12
 SHARING_TOL = 1e-8
+MAX_ITERS = 50  # shift-and-invert solves per side; 4-6 are typical
 
 
 def matrix_inf_norm(a: np.ndarray) -> float:
@@ -64,14 +65,52 @@ class PFData:
     residual_left: float
 
 
-def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
-    """Power iteration for the P-F triple of an irreducible nonnegative matrix.
+def _pf_vector(a: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """Right P-F vector of an irreducible nonnegative matrix, summing to one,
+    by Noda's shift-and-invert iteration; returns it with the iteration count.
 
-    Iterates on M + I so that periodic (but irreducible) matrices converge;
-    the shift leaves eigenvectors untouched.  The eigenvalue comes from the
-    two-sided Rayleigh quotient, accurate to roughly the square of the
-    eigenvector residual.  Residuals are measured in the infinity norm and
-    driven below ``tol * max(1, rho)``.
+    The shift sigma = max_i (Av)_i / v_i is a Collatz-Wielandt upper bound on
+    rho, so (sigma I - A)^{-1} is a positive matrix: the iterate stays
+    positive and converges to the P-F vector, periodic matrices included.
+    While sigma is far above rho a solve can change the ratio of two entries
+    of v by at most a factor of two, so the iteration starts from A1 rather
+    than from the uniform vector: that one power step already carries most of
+    the scale of a badly scaled P-F vector.
+    The loop stops once the ratio spread times max(v)/min(v) is within
+    ``tol * max(1, sigma)`` (that product bounds the residual of v rescaled
+    to nu'v = 1), once sigma stops falling (rounding floor), or after
+    ``MAX_ITERS`` solves.
+    """
+    eye = np.eye(a.shape[0])
+    v = a.sum(axis=1)  # A1: positive, since no row of an irreducible A is zero
+    v /= v.sum()
+    sigma_prev = math.inf
+    for k in range(1, MAX_ITERS + 1):
+        ratio = (a @ v) / v
+        sigma = float(ratio.max())
+        spread = (sigma - float(ratio.min())) * float(v.max() / v.min())
+        if spread <= tol * max(1.0, sigma) or sigma >= sigma_prev:
+            return v, k
+        sigma_prev = sigma
+        try:
+            w = np.linalg.solve(sigma * eye - a, v)
+        except np.linalg.LinAlgError:  # singular shift: sigma is rho exactly
+            return v, k
+        w /= w.sum()
+        if not np.all(w > 0):  # rounding broke positivity; keep the last iterate
+            return v, k
+        v = w
+    return v, MAX_ITERS
+
+
+def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
+    """P-F triple of an irreducible nonnegative matrix by shift-and-invert.
+
+    Each eigenvector comes from Noda's inverse iteration with
+    Collatz-Wielandt shifts (``_pf_vector``), on M for h and on M' for nu;
+    a few LU solves per side suffice at any size.  The eigenvalue comes from
+    the two-sided Rayleigh quotient.  Residuals are measured in the infinity
+    norm and must end below ``tol * max(1, rho)``, else NoConvergenceError.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -86,28 +125,30 @@ def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
         return PFData(rho=float(m[0, 0]), h=one, nu=one.copy(),
                       residual_right=0.0, residual_left=0.0)
 
-    a = m + np.eye(n)
-    h = np.full(n, 1.0 / n)
-    nu = np.full(n, 1.0 / n)
-    max_iters = max(100, int(math.ceil(100 * n * math.log(1.0 / tol))))
-    for _ in range(max_iters):
-        h = a @ h
-        h /= h.sum()
-        nu = nu @ a
-        nu /= nu.sum()
-        rho = float((nu @ m @ h) / (nu @ h))
-        h_out = h / (nu @ h)
-        res_r = float(np.max(np.abs(m @ h_out - rho * h_out)))
-        res_l = float(np.max(np.abs(nu @ m - rho * nu)))
-        if max(res_r, res_l) <= tol * max(1.0, abs(rho)):
-            return PFData(rho=rho, h=h_out, nu=nu.copy(),
-                          residual_right=res_r, residual_left=res_l)
-    raise NoConvergenceError(max_iters)
+    h, iters_r = _pf_vector(m, tol)
+    nu, iters_l = _pf_vector(m.T, tol)
+    rho = float((nu @ m @ h) / (nu @ h))
+    h_out = h / (nu @ h)
+    res_r = float(np.max(np.abs(m @ h_out - rho * h_out)))
+    res_l = float(np.max(np.abs(nu @ m - rho * nu)))
+    if max(res_r, res_l) <= tol * max(1.0, abs(rho)):
+        return PFData(rho=rho, h=h_out, nu=nu,
+                      residual_right=res_r, residual_left=res_l)
+    raise NoConvergenceError(max(iters_r, iters_l))
 
 
 def family_pf(family, tol: float = DEFAULT_TOL) -> dict[int, PFData]:
     """P-F data for every matrix in a MeanMatrixFamily, keyed by delay."""
     return {d: pf_decompose(mat, tol) for d, mat in family.items()}
+
+
+def pf_deviation(pf: dict[int, PFData]) -> float:
+    """Worst infinity-norm gap between any delay's h or nu and those of the
+    smallest delay; the family shares P-F eigenvectors when it is small."""
+    base = pf[min(pf)]
+    return max(max(float(np.max(np.abs(p.h - base.h))),
+                   float(np.max(np.abs(p.nu - base.nu))))
+               for p in pf.values())
 
 
 @dataclass(frozen=True)
@@ -133,11 +174,7 @@ def shared_pf_check(family, tol: float = SHARING_TOL,
     pf = family_pf(family, pf_tol)
     base = family.delays[0]
     h0, nu0 = pf[base].h, pf[base].nu
-    dev = 0.0
-    for d in family.delays:
-        dev = max(dev,
-                  float(np.max(np.abs(pf[d].h - h0))),
-                  float(np.max(np.abs(pf[d].nu - nu0))))
+    dev = pf_deviation(pf)
     shared = dev <= tol
     return SharedPFReport(
         shared=shared,

@@ -186,6 +186,34 @@ class TestDispatch:
         assert dispatch(["validate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:SchemaError:")
 
+    @pytest.mark.parametrize("field", ["means", "pmfs"])
+    def test_offspring_list_rejected(self, field, tmp_path, capsys):
+        doc = dict(FIB_CONFIG)
+        doc["offspring"] = {"kind": "poisson" if field == "means" else "pmf",
+                            field: [[[1.0]], [[1.0]]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:SchemaError: offspring.{field}:")
+
+    def test_generate_rhos_list_rejected(self, tmp_path, capsys):
+        gen = {"P": [[0.5, 0.5], [0.5, 0.5]], "h": [2.0, 1.0], "rhos": [0.4, 0.5]}
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(gen))
+        assert dispatch(["generate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:SchemaError: rhos:")
+
+    def test_no_convergence_exit_code(self, tmp_path, capsys):
+        doc = dict(FIB_CONFIG, types=["a", "b"], initial=0)
+        doc["offspring"] = {"kind": "poisson",
+                            "means": {"1": [[1.0, 2.0], [3.0, 4.0]],
+                                      "2": [[0.5, 0.1], [0.2, 0.3]]}}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["spectral", "--config", str(path), "--tol", "1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error:NoConvergenceError:")
+
     def test_usage_error_exit_code(self):
         assert dispatch(["no-such-command"]) == 2
         assert dispatch(["evolve"]) == 2

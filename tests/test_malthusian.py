@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delayedbp import malthusian
 from delayedbp import (BracketFailureError, LifetimeLaw, MeanMatrixFamily,
                        NotCriticalError, build_companion, critical_limit,
                        evolve_means, mixture_matrix, pf_decompose,
@@ -77,6 +80,42 @@ class TestSolveMalthusian:
         fam = MeanMatrixFamily((1,), (np.array([[1e12]]),))
         with pytest.raises(BracketFailureError):
             solve_malthusian(fam)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30),
+           st.sets(st.integers(1, 4), min_size=1, max_size=4),
+           st.floats(0.2, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_companion_eigvals(self, seed, n, delays, scale):
+        rng = np.random.default_rng(seed)
+        fam = random_positive_family(rng, n, tuple(sorted(delays)), scale=scale)
+        sol = solve_malthusian(fam)
+        radius = float(np.max(np.abs(np.linalg.eigvals(build_companion(fam).matrix))))
+        assert sol.rho_hat == pytest.approx(radius, rel=1e-12)
+
+    def test_newton_needs_few_pf_solves(self, monkeypatch):
+        # a bisection fallback would take ~60 solves per root
+        calls = []
+        real = malthusian.pf_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(malthusian, "pf_decompose", counting)
+        rng = np.random.default_rng(89)
+        for k in range(40):
+            n = int(rng.integers(1, 9))
+            delays = tuple(sorted(rng.choice(np.arange(1, 6), size=int(rng.integers(1, 5)),
+                                             replace=False).tolist()))
+            if k % 2:
+                fam = random_positive_family(rng, n, delays,
+                                             scale=float(rng.uniform(0.2, 5.0)))
+            else:
+                fam, _, _, _ = make_shared_family(rng, n, delays,
+                                                  mix=float(rng.uniform(0.01, 1.0)))
+            calls.clear()
+            solve_malthusian(fam)
+            assert len(calls) <= 20
 
 
 class TestCompanion:

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedbp import (MeanMatrixFamily, NotStochasticError, commute_check,
+from delayedbp import (MeanMatrixFamily, NoConvergenceError,
+                       NotStochasticError, build_companion, commute_check,
                        construct_shared_family,
                        construct_shared_family_reversed, family_pf,
                        is_irreducible, normalized_word_product, pf_decompose,
                        shared_pf_check, weight_ratio)
-from delayedbp.spectral import matrix_inf_norm
+from delayedbp.spectral import DEFAULT_TOL, matrix_inf_norm
 from conftest import make_shared_family, random_stochastic
 
 
@@ -91,6 +92,52 @@ class TestPFDecompose:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
             pf_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_unreachable_tolerance_raises(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(NoConvergenceError, match="shift-and-invert") as info:
+            pf_decompose(m, tol=1e-300)
+        assert 1 <= info.value.iterations <= 50
+
+
+def assert_matches_eigvals(m):
+    """pf_decompose agrees with the dense spectral radius to 1e-12 relative,
+    with positive normalized eigenvectors and its residual guarantee."""
+    pf = pf_decompose(m)
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assert pf.rho == pytest.approx(radius, rel=1e-12)
+    assert np.all(pf.h > 0) and np.all(pf.nu > 0)
+    assert pf.nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pf.nu @ pf.h == pytest.approx(1.0, abs=1e-12)
+    assert max(pf.residual_right, pf.residual_left) <= DEFAULT_TOL * max(1.0, pf.rho)
+
+
+class TestPFOracle:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_dense(self, seed, n):
+        rng = np.random.default_rng(seed)
+        assert_matches_eigvals(rng.uniform(0.01, 2.0, size=(n, n)))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.floats(0.01, 0.2))
+    @settings(max_examples=40, deadline=None)
+    def test_slow_mixing_shared(self, seed, n, mix):
+        # second eigenvalue of P is near 1 - mix: a small spectral gap
+        fam, _, _, _ = make_shared_family(np.random.default_rng(seed), n, (1, 2),
+                                          mix=mix)
+        for mat in fam.matrices:
+            assert_matches_eigvals(mat)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(2, 4),
+           st.sets(st.integers(1, 4), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_periodic_companion(self, seed, n, g, steps):
+        # delays with gcd g > 1 make the sparse companion matrix periodic
+        rng = np.random.default_rng(seed)
+        delays = tuple(sorted(g * k for k in steps))
+        fam = MeanMatrixFamily(delays, tuple(rng.uniform(0.05, 1.0, size=(n, n))
+                                             for _ in delays))
+        assert_matches_eigvals(build_companion(fam).matrix)
 
 
 class TestSharedCheck:
