@@ -24,7 +24,7 @@ from . import simulate as sim_mod
 from . import spectral as spec_mod
 from .errors import DelayedBPError, SchemaError
 from .model import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
-                    censored_mean_matrices, validate)
+                    censored_mean_matrices, death_prob_by_age, validate)
 
 _MODEL_FIELDS = {"types", "delays", "offspring", "lifetime", "initial"}
 _OFFSPRING_FIELDS = {"kind", "means", "pmfs"}
@@ -36,16 +36,30 @@ def _require(cond, field, message):
         raise SchemaError(field, message)
 
 
-def parse_config(text: str) -> ModelSpec:
-    """Parse and validate a JSON model config into a ModelSpec."""
+def _is_number(v) -> bool:
+    """A JSON number that converts to a finite double."""
+    try:
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
+def _load_object(text: str, fields) -> dict:
+    """Decode a JSON document whose top level is an object over ``fields``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("<document>", f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "<document>", "top level must be an object")
-    unknown = set(doc) - _MODEL_FIELDS
+    unknown = set(doc) - fields
     _require(not unknown, sorted(unknown)[0] if unknown else "",
              "unknown field")
+    return doc
+
+
+def parse_config(text: str) -> ModelSpec:
+    """Parse and validate a JSON model config into a ModelSpec."""
+    doc = _load_object(text, _MODEL_FIELDS)
     for req in ("types", "delays", "offspring", "lifetime"):
         _require(req in doc, req, "missing required field")
 
@@ -99,51 +113,19 @@ def parse_config(text: str) -> ModelSpec:
                 for j, cell in enumerate(row):
                     _require(isinstance(cell, list) and cell,
                              f"{path}[{i}][{j}]", "must be a nonempty list")
-                    _require(all(isinstance(p, (int, float)) and p >= 0
-                                 for p in cell),
-                             f"{path}[{i}][{j}]", "entries must be numbers >= 0")
+                    _require(all(_is_number(p) and 0 <= p <= 1 for p in cell),
+                             f"{path}[{i}][{j}]", "entries must be numbers in [0, 1]")
             pmfs[d] = grid
         offspring = OffspringLaw(kind="pmf", pmfs=pmfs)
     for d in delay_family:
         _require(d in offspring.delays_covered, f"offspring.{d}",
                  f"no offspring law for delay {d}")
 
-    lt_doc = doc["lifetime"]
-    _require(isinstance(lt_doc, dict), "lifetime", "must be an object")
-    unknown = set(lt_doc) - _LIFETIME_FIELDS
-    _require(not unknown, f"lifetime.{sorted(unknown)[0]}" if unknown else "",
-             "unknown field")
-    _require("pmf" in lt_doc, "lifetime.pmf", "missing required field")
-    pmf = lt_doc["pmf"]
-    _require(isinstance(pmf, list) and pmf, "lifetime.pmf", "must be a nonempty list")
-    _require(all(isinstance(p, (int, float)) for p in pmf),
-             "lifetime.pmf", "entries must be numbers")
-    if lt_doc.get("tail_ratio") is None:
-        total = math.fsum(float(p) for p in pmf)
-        _require(abs(total - 1.0) <= 1e-12, "lifetime.pmf",
-                 f"sums to {total!r} with no tail_ratio to absorb the rest")
-    tail = lt_doc.get("tail_ratio")
-    if tail is not None:
-        _require(isinstance(tail, (int, float)), "lifetime.tail_ratio",
-                 "must be a number")
-    dp = lt_doc.get("death_prob", 0.0)
-    if isinstance(dp, list):
-        _require(all(isinstance(x, (int, float)) for x in dp),
-                 "lifetime.death_prob", "entries must be numbers")
-        dp = tuple(float(x) for x in dp)
-    else:
-        _require(isinstance(dp, (int, float)), "lifetime.death_prob",
-                 "must be a number or list")
-    try:
-        lifetime = LifetimeLaw(pmf=tuple(float(p) for p in pmf),
-                               tail_ratio=None if tail is None else float(tail),
-                               death_prob=dp)
-    except ValueError as exc:
-        raise SchemaError("lifetime", str(exc)) from exc
+    lifetime = _parse_lifetime(doc["lifetime"])
 
     initial = doc.get("initial", 0)
     if isinstance(initial, list):
-        _require(all(isinstance(v, (int, float)) for v in initial),
+        _require(all(_is_number(v) for v in initial),
                  "initial", "entries must be numbers")
         initial = tuple(float(v) for v in initial)
     else:
@@ -155,6 +137,39 @@ def parse_config(text: str) -> ModelSpec:
                          offspring=offspring, lifetime=lifetime, initial=initial)
     except ValueError as exc:
         raise SchemaError("<model>", str(exc)) from exc
+
+
+def _parse_lifetime(lt_doc) -> LifetimeLaw:
+    _require(isinstance(lt_doc, dict), "lifetime", "must be an object")
+    unknown = set(lt_doc) - _LIFETIME_FIELDS
+    _require(not unknown, f"lifetime.{sorted(unknown)[0]}" if unknown else "",
+             "unknown field")
+    _require("pmf" in lt_doc, "lifetime.pmf", "missing required field")
+    pmf = lt_doc["pmf"]
+    _require(isinstance(pmf, list) and pmf, "lifetime.pmf", "must be a nonempty list")
+    _require(all(_is_number(p) and 0 <= p <= 1 for p in pmf),
+             "lifetime.pmf", "entries must be numbers in [0, 1]")
+    tail = lt_doc.get("tail_ratio")
+    if tail is None:
+        total = math.fsum(float(p) for p in pmf)
+        _require(abs(total - 1.0) <= 1e-12, "lifetime.pmf",
+                 f"sums to {total!r} with no tail_ratio to absorb the rest")
+    else:
+        _require(_is_number(tail), "lifetime.tail_ratio", "must be a number")
+    dp = lt_doc.get("death_prob", 0.0)
+    if isinstance(dp, list):
+        _require(all(_is_number(x) for x in dp),
+                 "lifetime.death_prob", "entries must be numbers")
+        dp = tuple(float(x) for x in dp)
+    else:
+        _require(_is_number(dp), "lifetime.death_prob",
+                 "must be a number or list")
+    try:
+        return LifetimeLaw(pmf=tuple(float(p) for p in pmf),
+                           tail_ratio=None if tail is None else float(tail),
+                           death_prob=dp)
+    except ValueError as exc:
+        raise SchemaError("lifetime", str(exc)) from exc
 
 
 def _parse_delay_key(key, path):
@@ -172,7 +187,7 @@ def _parse_matrix(grid, n, path):
     for i, row in enumerate(grid):
         _require(isinstance(row, list) and len(row) == n, f"{path}[{i}]",
                  f"must hold {n} numbers")
-        _require(all(isinstance(v, (int, float)) for v in row),
+        _require(all(_is_number(v) for v in row),
                  f"{path}[{i}]", "entries must be numbers")
         _require(all(v >= 0 for v in row), f"{path}[{i}]", "entries must be >= 0")
     return np.array(grid, dtype=float)
@@ -405,8 +420,11 @@ def _cmd_paths(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.config)
-    stats = sim_mod.ensemble(model, args.horizon, args.replicas, args.seed,
-                             pop_cap=args.pop_cap)
+    records = sim_mod.replica_records(model, args.horizon, args.replicas, args.seed,
+                                      pop_cap=args.pop_cap)
+    if args.dump is not None:
+        records = list(records)  # kept for the dump; otherwise streamed
+    stats = sim_mod.summarize(records)
     rows = []
     for s in range(args.horizon + 1):
         for j, name in enumerate(model.type_names):
@@ -423,9 +441,7 @@ def _cmd_simulate(args) -> int:
                  "mean_y", "se_y"), rows), args.out)
     if args.dump is not None:
         dump_rows = []
-        for k in range(args.replicas):
-            rec = sim_mod.simulate_replica(model, args.horizon, (args.seed, k),
-                                           args.pop_cap)
+        for k, rec in enumerate(records):
             for s in range(args.horizon + 1):
                 for j, name in enumerate(model.type_names):
                     dump_rows.append((k, s, name, rec.x[s, j], rec.z[s, j],
@@ -436,35 +452,36 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_generate(args) -> int:
     with open(args.input) as fh:
-        doc = json.load(fh)
-    allowed = {"P", "h", "nu", "rhos", "types", "lifetime", "initial"}
-    unknown = set(doc) - allowed
-    _require(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
+        doc = _load_object(fh.read(), {"P", "h", "nu", "rhos", "types", "lifetime",
+                                       "initial"})
     for req in ("P", "rhos"):
         _require(req in doc, req, "missing required field")
     _require(("h" in doc) != ("nu" in doc), "h",
              "exactly one of 'h' (forward) or 'nu' (time-reversed) is required")
-    p = np.array(doc["P"], dtype=float)
-    _require(isinstance(doc["rhos"], dict), "rhos", "must be an object keyed by delay")
+    _require(isinstance(doc["P"], list) and doc["P"], "P", "must be a square matrix")
+    n = len(doc["P"])
+    p = _parse_matrix(doc["P"], n, "P")
+    key = "h" if "h" in doc else "nu"
+    vec = doc[key]
+    _require(isinstance(vec, list) and len(vec) == n and all(map(_is_number, vec)),
+             key, f"must be a list of {n} numbers")
+    _require(isinstance(doc["rhos"], dict) and doc["rhos"], "rhos",
+             "must be a nonempty object keyed by delay")
     rhos = {}
-    for key, value in doc["rhos"].items():
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"rhos.{key}", "must be a number")
-        rhos[_parse_delay_key(key, "rhos")] = float(value)
-    if "h" in doc:
-        family = spec_mod.construct_shared_family(p, np.array(doc["h"], float), rhos)
-    else:
-        family = spec_mod.construct_shared_family_reversed(
-            p, np.array(doc["nu"], float), rhos)
+    for k, value in doc["rhos"].items():
+        _require(_is_number(value) and not isinstance(value, bool),
+                 f"rhos.{k}", "must be a number")
+        rhos[_parse_delay_key(k, "rhos")] = float(value)
+    construct = {"h": spec_mod.construct_shared_family,
+                 "nu": spec_mod.construct_shared_family_reversed}[key]
+    family = construct(p, np.array(vec, dtype=float), rhos)
 
-    n = family.n_types
     types = doc.get("types", [f"t{i}" for i in range(n)])
+    _require(isinstance(types, list) and len(types) == n, "types",
+             f"must be a list of {n} names, one per row of P")
     lt_doc = doc.get("lifetime", {"pmf": [0.0, 1.0]})
-    lifetime = LifetimeLaw(pmf=tuple(float(v) for v in lt_doc["pmf"]),
-                           tail_ratio=lt_doc.get("tail_ratio"),
-                           death_prob=lt_doc.get("death_prob", 0.0))
+    lifetime = _parse_lifetime(lt_doc)
     # raw means are inflated so that death censoring lands on the target family
-    from .model import death_prob_by_age
     means = {}
     for d in family.delays:
         keep = 1.0 - death_prob_by_age(lifetime, d)
@@ -472,16 +489,18 @@ def _cmd_generate(args) -> int:
                  "death censoring removes all reproduction at this delay")
         means[str(d)] = (family.matrix(d) / keep).tolist()
     config = {
-        "types": list(types),
+        "types": types,
         "delays": list(family.delays),
         "offspring": {"kind": "poisson", "means": means},
-        "lifetime": {k: v for k, v in (("pmf", list(lt_doc["pmf"])),
+        "lifetime": {k: v for k, v in (("pmf", lt_doc["pmf"]),
                                        ("tail_ratio", lt_doc.get("tail_ratio")),
                                        ("death_prob", lt_doc.get("death_prob", 0.0)))
                      if v is not None},
         "initial": doc.get("initial", 0),
     }
-    _write(emit_json(config), args.out)
+    text = emit_json(config)
+    parse_config(text)  # what is written must load
+    _write(text, args.out)
     return 0
 
 
@@ -549,10 +568,7 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except DelayedBPError as exc:
-        sys.stderr.write(f"error:{type(exc).__name__}: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
+    except (DelayedBPError, ValueError, OSError) as exc:
         sys.stderr.write(f"error:{type(exc).__name__}: {exc}\n")
         return 1
 

@@ -82,10 +82,12 @@ class LifetimeLaw:
             raise ValueError("lifetime pmf must have at least one entry")
         if any(p < 0 for p in pmf):
             raise NegativeEntryError("lifetime.pmf", min(pmf))
+        if max(pmf) > 1.0:  # also keeps fsum below overflow
+            raise ValueError(f"lifetime pmf entry {max(pmf)!r} > 1")
         total = math.fsum(pmf)
+        if total > 1.0 + _NORM_TOL:
+            raise ValueError(f"lifetime pmf sums to {total!r} > 1")
         if self.tail_ratio is None:
-            if total > 1.0 + _NORM_TOL:
-                raise ValueError(f"lifetime pmf sums to {total!r} > 1")
             if abs(total - 1.0) > _NORM_TOL:
                 # constructible so that validate() can report the defect;
                 # the missing mass behaves as P(L = infinity)
@@ -95,8 +97,6 @@ class LifetimeLaw:
             q = float(self.tail_ratio)
             if not (0.0 <= q < 1.0):
                 raise ValueError(f"tail ratio must lie in [0, 1), got {q!r}")
-            if total > 1.0 + _NORM_TOL:
-                raise ValueError(f"lifetime pmf sums to {total!r} > 1")
             object.__setattr__(self, "tail_ratio", q)
         object.__setattr__(self, "pmf", pmf)
         dp = self.death_prob
@@ -232,6 +232,9 @@ class OffspringLaw:
                         if any(p < 0 for p in cell):
                             raise NegativeEntryError(f"offspring.pmfs[{d}][{i}][{j}]",
                                                      min(cell))
+                        if any(p > 1.0 for p in cell):  # also keeps fsum below overflow
+                            raise ValueError(f"offspring pmf at (d={d}, i={i}, j={j}) "
+                                             f"has an entry {max(cell)!r} > 1")
                         if abs(math.fsum(cell) - 1.0) > _NORM_TOL:
                             raise ValueError(
                                 f"offspring pmf at (d={d}, i={i}, j={j}) sums to "
@@ -385,11 +388,12 @@ def censored_mean_matrices(model: ModelSpec) -> MeanMatrixFamily:
 
     Raises NonIrreducibleError when any resulting matrix is reducible.
     """
-    mats = []
-    for d in model.delay_family:
-        raw = model.offspring.mean_matrix(d)
-        mats.append(raw * (1.0 - death_prob_by_age(model.lifetime, d)))
-    return MeanMatrixFamily(tuple(model.delay_family), tuple(mats))
+    mats = tuple(_censored_matrix(model, d) for d in model.delay_family)
+    return MeanMatrixFamily(tuple(model.delay_family), mats)
+
+
+def _censored_matrix(model: ModelSpec, d: int) -> np.ndarray:
+    return model.offspring.mean_matrix(d) * (1.0 - death_prob_by_age(model.lifetime, d))
 
 
 @dataclass(frozen=True)
@@ -433,25 +437,13 @@ def validate(model: ModelSpec) -> ValidationReport:
         "nontrivial lifetime", "pass" if p_pos > 0 else "warn",
         f"P(L > 0) = {p_pos!r}"))
 
-    if model.offspring.kind == "pmf":
-        bad = []
-        for d in model.delay_family:
-            grid = model.offspring.pmfs[d]
-            for i, row in enumerate(grid):
-                for j, cell in enumerate(row):
-                    if abs(math.fsum(cell) - 1.0) > 1e-9:
-                        bad.append((d, i, j))
-        checks.append(ValidationCheck(
-            "offspring pmf normalization", "pass" if not bad else "fail",
-            "all normalized" if not bad else f"unnormalized at {bad}"))
-    else:
-        checks.append(ValidationCheck(
-            "offspring pmf normalization", "pass", "poisson laws are normalized"))
+    # OffspringLaw rejects an unnormalized pmf at construction
+    checks.append(ValidationCheck(
+        "offspring pmf normalization", "pass",
+        "all normalized" if model.offspring.kind == "pmf" else "poisson laws are normalized"))
 
     for d in model.delay_family:
-        raw = model.offspring.mean_matrix(d)
-        m = raw * (1.0 - death_prob_by_age(lt, d))
-        ok = is_irreducible(m)
+        ok = is_irreducible(_censored_matrix(model, d))
         checks.append(ValidationCheck(
             f"irreducibility of M_{d}", "pass" if ok else "fail",
             "irreducible" if ok else "reducible"))

@@ -1,18 +1,20 @@
 """Exact mean evolution of the incidence, symptomatic and asymptomatic counts.
 
-Everything here is driven by one linear recursion: a mean vector at time s is
-a source term plus the sum over delays d of the vector at s-d pushed through
-M_d.  The three processes differ only in their source:
+Everything here is driven by one linear recursion, the renewal step of
+``_renew``: row s of a stacked state is its preloaded source plus the sum over
+delays d of row s-d pushed through M_d.  A row may be one mean vector or a
+stack of them (the last axis always indexes types), so one step serves every
+quantity at once.  The three processes differ only in their source:
 
 * incidence X:     E[X(0)] at s = 0, nothing afterwards;
 * symptomatic Z:   E[X(0)] * P(L > s) at every s;
 * asymptomatic Y:  E[X(0)] * P(L = 0) on the window 0 <= s <= D.
 
-Geometrically weighted versions (multiplied by exp(-theta*s)) are evolved
-with their own recursion rather than rescaled after the fact, which keeps
-long supercritical or subcritical horizons inside floating-point range.
-The kernel Xi(s) collects the same dynamics as a matrix so that
-E[X(s)]' = E[X(0)]' Xi(s).
+Geometrically weighted versions (multiplied by exp(-theta*s)) run the same
+step with M_d scaled by exp(-theta*d) rather than being rescaled after the
+fact, which keeps long supercritical or subcritical horizons inside
+floating-point range.  The kernel Xi(s) is the same step on a stack of n
+rows started from the identity, so that E[X(s)]' = E[X(0)]' Xi(s).
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ from .malthusian import MalthusianSolution, mixture_matrix, solve_malthusian
 from .spectral import pf_decompose, shared_pf_check
 
 OVERFLOW_LIMIT = 1e300
+
+
+def _renew(family, v: np.ndarray, start: int = 0, theta: float = 0.0) -> None:
+    """In place: v[s] += sum_d exp(-theta*d) v[s-d] @ M_d for s >= start.
+
+    Raises HorizonTooLargeError at the first such s whose row exceeds
+    OVERFLOW_LIMIT.
+    """
+    mats = [(d, math.exp(-theta * d) * mat) for d, mat in family.items()]
+    for s in range(start, len(v)):
+        v[s] += sum(v[s - d] @ mat for d, mat in mats if d <= s)
+        if v[s].max() > OVERFLOW_LIMIT:
+            raise HorizonTooLargeError(s)
 
 
 @dataclass(frozen=True)
@@ -50,88 +65,67 @@ class MeanTrajectory:
 def evolve_means(model, family, horizon: int, mal: MalthusianSolution | None = None) -> MeanTrajectory:
     """Run the mean recursions up to ``horizon``.
 
-    Raises HorizonTooLargeError as soon as any entry exceeds 1e300.
+    Raises HorizonTooLargeError at the first time any entry exceeds 1e300.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if mal is None:
         mal = solve_malthusian(family)
     theta = mal.theta
-    n = family.n_types
-    D = family.max_delay
     lt = model.lifetime
     x0 = model.initial_mean_vector()
-    p0 = lt.prob(0)
 
-    S = horizon
-    ex = np.zeros((S + 1, n))
-    ez = np.zeros((S + 1, n))
-    ey = np.zeros((S + 1, n))
-    wx = np.zeros((S + 1, n))
-    wz = np.zeros((S + 1, n))
-    wy = np.zeros((S + 1, n))
+    # row s of each state stacks (X, Z, Y); preload the sources, then renew
+    raw = np.zeros((horizon + 1, 3, family.n_types))
+    wtd = np.zeros_like(raw)
+    raw[0, 0] = wtd[0, 0] = x0
+    for s in range(horizon + 1):
+        raw[s, 1] = x0 * lt.survival(s)
+        wtd[s, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
+    for s in range(min(family.max_delay, horizon) + 1):
+        raw[s, 2] = x0 * lt.prob(0)
+        wtd[s, 2] = _scaled(x0, lt.prob(0), -theta * s)
+    try:
+        _renew(family, raw)
+    except HorizonTooLargeError as exc:
+        _renew(family, wtd[:exc.s], theta=theta)  # an earlier weighted overflow wins
+        raise
+    _renew(family, wtd, theta=theta)
 
-    weighted = {d: math.exp(-theta * d) * mat for d, mat in family.items()}
-
-    for s in range(S + 1):
-        for d, mat in family.items():
-            if s - d >= 0:
-                ex[s] += ex[s - d] @ mat
-                ez[s] += ez[s - d] @ mat
-                ey[s] += ey[s - d] @ mat
-                wmat = weighted[d]
-                wx[s] += wx[s - d] @ wmat
-                wz[s] += wz[s - d] @ wmat
-                wy[s] += wy[s - d] @ wmat
-        if s == 0:
-            ex[0] += x0
-            wx[0] += x0
-        ez[s] += x0 * lt.survival(s)
-        wz[s] += x0 * _weighted_survival(lt, s, theta)
-        if s <= D:
-            ey[s] += x0 * p0
-            wy[s] += x0 * (p0 * math.exp(-theta * s))
-        if max(ex[s].max(), ez[s].max(), ey[s].max(),
-               wx[s].max(), wz[s].max(), wy[s].max()) > OVERFLOW_LIMIT:
-            raise HorizonTooLargeError(s)
-
-    return MeanTrajectory(horizon=S, theta=theta, ex=ex, ez=ez, ey=ey,
-                          wx=wx, wz=wz, wy=wy)
+    return MeanTrajectory(horizon=horizon, theta=theta,
+                          ex=raw[:, 0], ez=raw[:, 1], ey=raw[:, 2],
+                          wx=wtd[:, 0], wz=wtd[:, 1], wy=wtd[:, 2])
 
 
-def _weighted_survival(lt, c: int, theta: float) -> float:
-    """P(L > c) * exp(-theta*c), computed in log space on the geometric tail
-    so that subcritical weighting cannot overflow prematurely."""
-    if c < lt.max_finite:
-        return lt.survival(c) * math.exp(-theta * c)
+def _weighted_survival(lt, c: int, theta: float) -> tuple[float, float]:
+    """P(L > c) * exp(-theta*c) as a (factor, exponent) pair, the exponent
+    taken in log space on the geometric tail so that subcritical weighting
+    cannot overflow prematurely."""
     rem = lt.survival(lt.max_finite)  # tail or defect mass
-    if rem == 0.0:
-        return 0.0
-    q = lt.tail_ratio
-    if q is None:
-        return rem * math.exp(-theta * c)
-    if q == 0.0:
-        return rem * math.exp(-theta * c) if c == lt.max_finite else 0.0
-    return math.exp(math.log(rem) + (c - lt.max_finite) * math.log(q) - theta * c)
+    if c < lt.max_finite or not lt.tail_ratio or rem == 0.0:
+        return lt.survival(c), -theta * c
+    return 1.0, math.log(rem) + (c - lt.max_finite) * math.log(lt.tail_ratio) - theta * c
+
+
+def _scaled(x0: np.ndarray, factor: float, exponent: float) -> np.ndarray:
+    """x0 * factor * exp(exponent); where exp(exponent) alone overflows the
+    product is taken in log space, so entries are inf only past the double
+    range and the overflow guard fires where the true value passes 1e300."""
+    try:
+        return x0 * (factor * math.exp(exponent))
+    except OverflowError:
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(np.log(x0 * factor) + exponent)
 
 
 def xi_kernel(family, s: int) -> np.ndarray:
     """Mean-evolution kernel: Xi(0) = I and Xi(s) = sum_d Xi(s-d) M_d."""
-    return _xi_sequence(family, s)[s]
-
-
-def _xi_sequence(family, s: int) -> list[np.ndarray]:
     if s < 0:
         raise ValueError("time must be >= 0")
-    n = family.n_types
-    seq = [np.eye(n)]
-    for t in range(1, s + 1):
-        acc = np.zeros((n, n))
-        for d, mat in family.items():
-            if t - d >= 0:
-                acc += seq[t - d] @ mat
-        seq.append(acc)
-    return seq
+    xi = np.zeros((s + 1, family.n_types, family.n_types))
+    xi[0] = np.eye(family.n_types)
+    _renew(family, xi)
+    return xi[s]
 
 
 @dataclass(frozen=True)
@@ -228,24 +222,19 @@ def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarr
 def stationary_check(family, mal: MalthusianSolution) -> float:
     """Residual of the stationary type profile under the mean evolution.
 
-    Seeds the first window with nu' rho_hat^s, where nu is the left P-F
+    Seeds the first window with nu' rho_hat^(s-D), where nu is the left P-F
     eigenvector of the mixture matrix at rho_hat, evolves one further window
     and returns the worst infinity-norm deviation of the type proportions
     from nu.  For families sharing P-F eigenvectors this is zero up to
-    rounding.
+    rounding.  Centering the powers on s = D keeps every entry within
+    rho_hat^(+-D), inside the overflow guard for any bracketed rho_hat
+    when D <= 33.
     """
     rho = mal.rho_hat
     nu = pf_decompose(mixture_matrix(family, rho)).nu
     D = family.max_delay
-    n = family.n_types
-    window = np.zeros((2 * D + 1, n))
-    for s in range(D):
-        window[s] = nu * rho ** s
-    worst = 0.0
-    for s in range(D, 2 * D + 1):
-        acc = np.zeros(n)
-        for d, mat in family.items():
-            acc += window[s - d] @ mat
-        window[s] = acc
-        worst = max(worst, float(np.max(np.abs(acc / acc.sum() - nu))))
-    return worst
+    window = np.zeros((2 * D + 1, family.n_types))
+    window[:D] = [nu * rho ** (s - D) for s in range(D)]
+    _renew(family, window, start=D)
+    props = window[D:] / window[D:].sum(axis=1, keepdims=True)
+    return float(np.max(np.abs(props - nu)))

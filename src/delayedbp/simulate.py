@@ -200,45 +200,49 @@ def ensemble(model, horizon: int, replicas: int, seed,
     excluded from all statistics; if every replica truncates,
     AllTruncatedError is raised.
     """
-    if replicas < 1:
-        raise ValueError("need at least one replica")
-    n = model.n_types
-    S = horizon
-    sums = {k: np.zeros((S + 1, n)) for k in "xzy"}
-    sqs = {k: np.zeros((S + 1, n)) for k in "xzy"}
-    extinct = {k: 0 for k in "xzy"}
-    used = 0
-    trunc = 0
+    return summarize(replica_records(model, horizon, replicas, seed, pop_cap))
+
+
+def replica_records(model, horizon: int, replicas: int, seed,
+                    pop_cap: int = DEFAULT_POP_CAP):
+    """Yield the records of replicas 0..replicas-1, replica k seeded (seed, k)."""
     for k in range(replicas):
-        rec = simulate_replica(model, horizon, (seed, k), pop_cap)
+        yield simulate_replica(model, horizon, (seed, k), pop_cap)
+
+
+def summarize(records) -> EnsembleStats:
+    """Aggregate replica records as ``ensemble`` does, one record at a time."""
+    sums = sqs = 0.0
+    extinct = dict.fromkeys("xzy", 0)
+    used = trunc = 0
+    for rec in records:
         if rec.truncated:
             trunc += 1
             continue
         used += 1
-        for name, arr in (("x", rec.x), ("z", rec.z), ("y", rec.y)):
-            a = arr.astype(float)
-            sums[name] += a
-            sqs[name] += a * a
-        for name, info in (("x", rec.extinction_x), ("z", rec.extinction_z),
-                           ("y", rec.extinction_y)):
+        arrs = np.stack((rec.x, rec.z, rec.y)).astype(float)
+        sums += arrs
+        sqs += arrs * arrs
+        for name, info in zip("xzy", (rec.extinction_x, rec.extinction_z,
+                                      rec.extinction_y)):
             if info.determined:
                 extinct[name] += 1
+    if used + trunc == 0:
+        raise ValueError("need at least one replica")
     if used == 0:
-        raise AllTruncatedError(replicas)
+        raise AllTruncatedError(trunc)
 
-    means = {k: sums[k] / used for k in "xzy"}
+    means = sums / used
     if used > 1:
-        ses = {}
-        for k in "xzy":
-            var = (sqs[k] - used * means[k] ** 2) / (used - 1)
-            ses[k] = np.sqrt(np.maximum(var, 0.0) / used)
+        var = (sqs - used * means ** 2) / (used - 1)
+        ses = np.sqrt(np.maximum(var, 0.0) / used)
     else:
-        ses = {k: None for k in "xzy"}
+        ses = (None, None, None)
 
     return EnsembleStats(
-        horizon=S, replicas=used, truncated=trunc,
-        mean_x=means["x"], mean_z=means["z"], mean_y=means["y"],
-        se_x=ses["x"], se_z=ses["z"], se_y=ses["y"],
+        horizon=means.shape[1] - 1, replicas=used, truncated=trunc,
+        mean_x=means[0], mean_z=means[1], mean_y=means[2],
+        se_x=ses[0], se_z=ses[1], se_y=ses[2],
         extinction_frequency={k: extinct[k] / used for k in "xzy"},
     )
 

@@ -231,21 +231,7 @@ def construct_shared_family(p: np.ndarray, h: np.ndarray, rhos: dict[int, float]
     eigenvector h and left eigenvector proportional to pi(i)/h(i), where pi is
     the stationary distribution of P.
     """
-    from .model import MeanMatrixFamily
-
-    p = _check_stochastic(p)
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("h must be strictly positive")
-    ratio = h[:, None] / h[None, :]
-    delays = tuple(sorted(int(d) for d in rhos))
-    mats = []
-    for d in delays:
-        r = float(rhos[d])
-        if r <= 0:
-            raise ValueError(f"eigenvalue for delay {d} must be positive, got {r}")
-        mats.append(r * p * ratio)
-    return MeanMatrixFamily(delays, tuple(mats))
+    return _shared_family(p, h, "h", rhos, reverse=False)
 
 
 def construct_shared_family_reversed(p: np.ndarray, nu: np.ndarray, rhos: dict[int, float]):
@@ -255,20 +241,28 @@ def construct_shared_family_reversed(p: np.ndarray, nu: np.ndarray, rhos: dict[i
     every stochastic P, and the right eigenvectors coincide across the family
     whenever a single P is used for all delays.
     """
+    return _shared_family(p, nu, "nu", rhos, reverse=True)
+
+
+def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
+    """M_d = rho_d * P * vec(i)/vec(j), or rho_d * vec(j)/vec(i) * P' reversed."""
     from .model import MeanMatrixFamily
 
     p = _check_stochastic(p)
-    nu = np.asarray(nu, dtype=float)
-    if np.any(nu <= 0):
-        raise ValueError("nu must be strictly positive")
-    ratio = nu[None, :] / nu[:, None]
+    vec = np.asarray(vec, dtype=float)
+    if np.any(vec <= 0):
+        raise ValueError(f"{name} must be strictly positive")
+    if reverse:
+        left, right = vec[None, :] / vec[:, None], p.T
+    else:
+        left, right = p, vec[:, None] / vec[None, :]
     delays = tuple(sorted(int(d) for d in rhos))
     mats = []
     for d in delays:
         r = float(rhos[d])
         if r <= 0:
             raise ValueError(f"eigenvalue for delay {d} must be positive, got {r}")
-        mats.append(r * ratio * p.T)
+        mats.append(r * left * right)
     return MeanMatrixFamily(delays, tuple(mats))
 
 

@@ -1,10 +1,14 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delayedbp import DuplicateDelayError, SchemaError
+from delayedbp import simulate as sim_mod
 from delayedbp.cli import dispatch, emit_json, model_to_config, parse_config
 from conftest import PHI
 
@@ -214,6 +218,89 @@ class TestDispatch:
         assert dispatch(["spectral", "--config", str(path), "--tol", "1e-300"]) == 1
         assert capsys.readouterr().err.startswith("error:NoConvergenceError:")
 
+    @pytest.mark.parametrize("initial,time", [([1e-10], None), (0, 315)])
+    def test_weighted_source_overflow_exit_code(self, initial, time, tmp_path, capsys):
+        doc = {"types": ["a"], "delays": [1],
+               "offspring": {"kind": "poisson", "means": {"1": [[0.1]]}},
+               "lifetime": {"pmf": [0.0, 0.5], "tail_ratio": 0.9},
+               "initial": initial}
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["evolve", "--config", str(path), "--horizon", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:HorizonTooLargeError:")
+        if time is not None:
+            assert err.strip().endswith(f"at time {time}")
+
+    def test_simulate_dump_reuses_replicas(self, fib_config, tmp_path, monkeypatch):
+        calls = []
+        real = sim_mod.simulate_replica
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "simulate_replica", counted)
+        plain, summary, dump = (tmp_path / n for n in ("plain.csv", "sum.csv", "dump.csv"))
+        argv = ["simulate", "--config", fib_config, "--horizon", "6",
+                "--replicas", "5", "--seed", "11"]
+        assert dispatch(argv + ["--out", str(plain)]) == 0
+        calls.clear()
+        assert dispatch(argv + ["--out", str(summary), "--dump", str(dump)]) == 0
+        assert len(calls) == 5
+        assert summary.read_bytes() == plain.read_bytes()
+        lines = dump.read_text().splitlines()
+        assert lines[0] == "replica,s,type,x,z,y"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 5 * 7
+        model = parse_config(json.dumps(FIB_CONFIG))
+        for k in range(5):
+            rec = real(model, 6, (11, k))
+            for s_ in range(7):
+                row = rows[k * 7 + s_]
+                assert row[:3] == [str(k), str(s_), "a"]
+                assert [int(v) for v in row[3:]] == [rec.x[s_, 0], rec.z[s_, 0],
+                                                     rec.y[s_, 0]]
+
+    @pytest.mark.parametrize("change,field", [
+        ({"lifetime": [0.0, 1.0]}, "lifetime"),
+        ({"types": 3}, "types"),
+        ({"types": ["a"]}, "types"),
+        ({"lifetime": {"pmf": [0.3, 0.5]}}, "lifetime.pmf"),
+        ({"rhos": {}}, "rhos"),
+        ({"h": [2.0, 1.0, 1.0]}, "h"),
+        ({"P": "x"}, "P"),
+    ])
+    def test_generate_schema_errors(self, change, field, tmp_path, capsys):
+        gen = dict({"P": [[0.5, 0.5], [0.5, 0.5]], "h": [2.0, 1.0],
+                    "rhos": {"1": 0.4, "2": 0.5}}, **change)
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(gen))
+        out = tmp_path / "model.json"
+        assert dispatch(["generate", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error:SchemaError: {field}:")
+        assert not out.exists()
+
+    def test_generate_top_level_list(self, tmp_path, capsys):
+        path = tmp_path / "gen.json"
+        path.write_text("[1, 2]")
+        assert dispatch(["generate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:SchemaError: <document>:")
+
+    def test_generate_output_always_parses(self, tmp_path):
+        gen = {"P": [[0.2, 0.8], [0.6, 0.4]], "nu": [1.0, 3.0],
+               "rhos": {"1": 0.4, "3": 0.7}, "types": ["u", "v"],
+               "lifetime": {"pmf": [0.1, 0.4], "tail_ratio": 0.5,
+                            "death_prob": [0.1, 0.2]},
+               "initial": [2, 1]}
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(gen))
+        out = tmp_path / "model.json"
+        assert dispatch(["generate", "--input", str(path), "--out", str(out)]) == 0
+        model = parse_config(out.read_text())
+        assert model.type_names == ("u", "v")
+        assert model.initial == (2.0, 1.0)
+
     def test_usage_error_exit_code(self):
         assert dispatch(["no-such-command"]) == 2
         assert dispatch(["evolve"]) == 2
@@ -224,3 +311,66 @@ class TestModelToConfig:
         text = json.dumps(model_to_config(fib_model))
         model = parse_config(text)
         assert model.delay_family.delays == fib_model.delay_family.delays
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the two commands that read hand-written documents
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 5)
+            | st.sampled_from([10 ** 400, -(10 ** 400)])
+            | st.floats() | st.text(max_size=3))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+_GENERATE_DOC = {"P": [[0.5, 0.5], [0.5, 0.5]], "h": [2.0, 1.0],
+                 "rhos": {"1": 0.4, "2": 0.5}, "types": ["a", "b"],
+                 "lifetime": {"pmf": [0.1, 0.9], "death_prob": 0.1},
+                 "initial": [1, 0]}
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one entry replaced by arbitrary JSON or deleted."""
+    doc = copy.deepcopy(base)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(_JSON)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_JSON)
+    return doc
+
+
+@pytest.mark.parametrize("command,flag,base", [
+    ("validate", "--config", FIB_CONFIG),
+    ("generate", "--input", _GENERATE_DOC),
+])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_documents(command, flag, base, data, tmp_path, capsys):
+    doc = data.draw(_mutated(base) | _JSON)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = dispatch([command, flag, str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert any(line.startswith("error:") for line in err.splitlines())

@@ -82,6 +82,12 @@ class TestLifetimeLaw:
         with pytest.warns(UserWarning, match="asymptomatic"):
             LifetimeLaw(pmf=(1.0,))
 
+    def test_entry_above_one_rejected(self):
+        # (1e308, 1e308) would overflow math.fsum before the sum check
+        for tail in (None, 0.5):
+            with pytest.raises(ValueError, match="entry"):
+                LifetimeLaw(pmf=(1e308, 1e308), tail_ratio=tail)
+
 
 class TestDeathProbByAge:
     def test_no_deaths(self):
@@ -163,6 +169,11 @@ class TestCensoredMeans:
         off = OffspringLaw(kind="pmf", pmfs={1: [[(0.25, 0.5, 0.25)]]})
         assert off.mean_matrix(1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
+    def test_pmf_entry_above_one_rejected(self):
+        # (1e308, 1e308) would overflow math.fsum before the normalization check
+        with pytest.raises(ValueError, match="entry"):
+            OffspringLaw(kind="pmf", pmfs={1: [[(1e308, 1e308)]]})
+
 
 class TestMeanMatrixFamily:
     def test_negative_rejected(self):
@@ -222,6 +233,26 @@ class TestValidate:
         byname = {c.name: c for c in report.checks}
         assert byname["lifetime mass"].status == "fail"
         assert not report.ok
+
+
+    def test_check_strings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelSpec(
+                type_names=("a",),
+                delay_family=DelayFamily((1, 2)),
+                offspring=OffspringLaw(kind="pmf",
+                                       pmfs={1: [[(0.5, 0.5)]], 2: [[(0.0, 1.0)]]}),
+                lifetime=LifetimeLaw(pmf=(0.0, 0.0, 1.0), death_prob=1.0))
+        report = validate(model)
+        assert [(c.name, c.status, c.detail) for c in report.checks] == [
+            ("delay gcd", "pass", "gcd([1, 2]) = 1"),
+            ("lifetime mass", "pass", "P(L < inf) = 1.0"),
+            ("nontrivial lifetime", "pass", "P(L > 0) = 1.0"),
+            ("offspring pmf normalization", "pass", "all normalized"),
+            ("irreducibility of M_1", "pass", "irreducible"),
+            ("irreducibility of M_2", "fail", "reducible"),
+        ]
 
 
 class TestConfigRoundTrip:

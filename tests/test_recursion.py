@@ -45,6 +45,40 @@ class TestEvolveMeans:
                     acc = acc + traj.ex[s - d] @ mat
             assert np.array_equal(acc, traj.ex[s])
 
+    def test_matches_per_series_loop(self):
+        # reference: each of the six series run as its own vector recursion;
+        # stacking them changes only the BLAS call, so the bound is a few ulps
+        # per step
+        rng = np.random.default_rng(139)
+        means = {d: rng.uniform(0.1, 0.5, size=(4, 4)) for d in (1, 2, 4)}
+        from delayedbp import DelayFamily, ModelSpec, OffspringLaw
+        model = ModelSpec(type_names=("a", "b", "c", "d"),
+                          delay_family=DelayFamily((1, 2, 4)),
+                          offspring=OffspringLaw(kind="poisson", means=means),
+                          lifetime=LifetimeLaw(pmf=(0.2, 0.3, 0.2), tail_ratio=0.6,
+                                               death_prob=0.1),
+                          initial=(1.0, 0.0, 2.0, 0.5))
+        fam = censored_mean_matrices(model)
+        sol = solve_malthusian(fam)
+        traj = evolve_means(model, fam, 80, sol)
+        lt, x0, theta = model.lifetime, model.initial_mean_vector(), sol.theta
+        sources = {
+            "x": lambda s: x0 * (s == 0),
+            "z": lambda s: x0 * lt.survival(s),
+            "y": lambda s: x0 * lt.prob(0) * (s <= fam.max_delay),
+        }
+        for name, src in sources.items():
+            for weighted in (False, True):
+                ref = np.zeros((81, 4))
+                for s in range(81):
+                    ref[s] = src(s) * (math.exp(-theta * s) if weighted else 1.0)
+                    for d, mat in fam.items():
+                        if s >= d:
+                            w = math.exp(-theta * d) if weighted else 1.0
+                            ref[s] += ref[s - d] @ (w * mat)
+                got = getattr(traj, ("w" if weighted else "e") + name)
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
     def test_z_is_survival_convolution(self):
         rng = np.random.default_rng(97)
         lt = LifetimeLaw(pmf=(0.3, 0.3, 0.2, 0.2), death_prob=0.0)
@@ -101,6 +135,63 @@ class TestEvolveMeans:
         with pytest.raises(HorizonTooLargeError):
             evolve_means(model, fam, 350)
 
+    def test_overflow_guard_reports_first_time(self):
+        # 10.0**300 rounds to 1e300, so the first row past the limit is s = 300
+        fam = MeanMatrixFamily((1,), (np.array([[10.0]]),))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        with pytest.raises(HorizonTooLargeError) as info:
+            evolve_means(model, fam, 350)
+        assert info.value.s == 300
+
+    @staticmethod
+    def _growing_tail_model(initial):
+        # theta = log(0.1), so exp(-theta s) P(L > s) grows like 9^s
+        fam = MeanMatrixFamily((1,), (np.array([[0.1]]),))
+        lt = LifetimeLaw(pmf=(0.0, 0.5), tail_ratio=0.9)
+        return fam, poisson_model_from_family(fam, lt, initial=initial)
+
+    def test_weighted_source_overflow_time(self):
+        fam, model = self._growing_tail_model(0)
+        with pytest.raises(HorizonTooLargeError) as info:
+            evolve_means(model, fam, 400)
+        assert info.value.s == 315
+
+    def test_weighted_source_past_exp_range_is_typed(self):
+        # exp(-theta s) P(L > s) leaves the double range near s = 323, before
+        # 1e-10 times the weighted series passes 1e300; the error must name
+        # the time the series itself passes the limit
+        fam, model = self._growing_tail_model((1e-10,))
+        with pytest.raises(HorizonTooLargeError) as info:
+            evolve_means(model, fam, 400)
+        theta = solve_malthusian(fam).theta
+        w = math.exp(-theta) * 0.1  # weighted M_1, within rounding of 1
+
+        def log_source(c):
+            return math.log(0.5) + (c - 1) * math.log(0.9) - theta * c if c else 0.0
+
+        def log_wz(s):  # wz[s] = 1e-10 * sum_c w^(s-c) * source(c), in log space
+            logs = [log_source(c) + (s - c) * math.log(w) for c in range(s + 1)]
+            top = max(logs)
+            return math.log(1e-10) + top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+        first = next(s for s in range(401) if log_wz(s) > math.log(1e300))
+        assert info.value.s == first
+        assert first > 323
+
+    def test_zero_initial_never_overflows(self):
+        fam, model = self._growing_tail_model((0.0,))
+        traj = evolve_means(model, fam, 400)
+        assert not np.any(traj.wz) and not np.any(np.isnan(traj.wz))
+
+    def test_earlier_weighted_overflow_wins(self):
+        # raw means decay, weighted ones overflow: the weighted time is reported
+        fam = MeanMatrixFamily((1, 2), (np.array([[0.01]]), np.array([[0.001]])))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 0.5),
+                                                           tail_ratio=0.95))
+        with pytest.raises(HorizonTooLargeError) as info:
+            evolve_means(model, fam, 400)
+        assert info.value.s == 214
+
 
 class TestXiKernel:
     def test_identity_at_zero(self, fib_family):
@@ -108,6 +199,23 @@ class TestXiKernel:
 
     def test_fibonacci_composition_count(self, fib_family):
         assert xi_kernel(fib_family, 4)[0, 0] == pytest.approx(5.0, abs=1e-14)
+
+    def test_recursion_recomputable(self):
+        rng = np.random.default_rng(137)
+        fam = random_positive_family(rng, 4, (1, 3, 4))
+        seq = [np.eye(4)]
+        for t in range(1, 16):
+            acc = np.zeros((4, 4))
+            for d, mat in fam.items():
+                if t - d >= 0:
+                    acc += seq[t - d] @ mat
+            seq.append(acc)
+        for t in (0, 1, 5, 15):
+            assert np.array_equal(xi_kernel(fam, t), seq[t])
+
+    def test_negative_time_rejected(self, fib_family):
+        with pytest.raises(ValueError):
+            xi_kernel(fib_family, -1)
 
 
 class TestTheoremLimits:
@@ -236,6 +344,12 @@ class TestStationaryCheck:
             fam, _, _, _ = make_shared_family(rng, 3, (1, 2, 3))
             sol = solve_malthusian(fam)
             assert stationary_check(fam, sol) <= 1e-10
+
+    def test_large_growth_rate_stays_in_range(self):
+        # rho_hat = 8e8 and D = 17: rho_hat^(2D) would pass the overflow guard
+        fam = MeanMatrixFamily((1, 17), (np.array([[8e8]]), np.array([[1.0]])))
+        sol = solve_malthusian(fam)
+        assert stationary_check(fam, sol) <= 1e-12
 
     def test_non_shared_reports_value(self):
         fam = MeanMatrixFamily((1, 2), (np.ones((2, 2)),
