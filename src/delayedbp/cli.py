@@ -420,11 +420,14 @@ def _cmd_paths(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.config)
-    records = sim_mod.replica_records(model, args.horizon, args.replicas, args.seed,
-                                      pop_cap=args.pop_cap)
+    blocks = sim_mod.replica_blocks(model, args.horizon, args.replicas, args.seed,
+                                    pop_cap=args.pop_cap)
     if args.dump is not None:
-        records = list(records)  # kept for the dump; otherwise streamed
-    stats = sim_mod.summarize(records)
+        blocks = list(blocks)  # kept for the dump; otherwise streamed
+    stats = sim_mod.summarize(blocks)
+    if stats.truncated:
+        sys.stderr.write(f"warning: {stats.truncated} of {args.replicas} replicas truncated "
+                         f"at pop_cap {args.pop_cap}; excluded from the statistics\n")
     rows = []
     for s in range(args.horizon + 1):
         for j, name in enumerate(model.type_names):
@@ -440,13 +443,15 @@ def _cmd_simulate(args) -> int:
     _write(_csv(("s", "type", "mean_x", "se_x", "mean_z", "se_z",
                  "mean_y", "se_y"), rows), args.out)
     if args.dump is not None:
-        dump_rows = []
-        for k, rec in enumerate(records):
-            for s in range(args.horizon + 1):
-                for j, name in enumerate(model.type_names):
-                    dump_rows.append((k, s, name, rec.x[s, j], rec.z[s, j],
-                                      rec.y[s, j]))
-        _write(_csv(("replica", "s", "type", "x", "z", "y"), dump_rows), args.dump)
+        with open(args.dump, "w") as fh:  # written one replica at a time
+            fh.write("replica,s,type,x,z,y\n")
+            k = 0
+            for block in blocks:
+                for replica in block.counts.transpose(0, 2, 3, 1):
+                    fh.writelines(f"{k},{s},{name},{x},{z},{y}\n"
+                                  for s, row in enumerate(replica.tolist())
+                                  for name, (x, z, y) in zip(model.type_names, row))
+                    k += 1
     return 0
 
 

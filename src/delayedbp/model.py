@@ -159,6 +159,22 @@ class LifetimeLaw:
             return 0.0
         return dp[min(l, len(dp)) - 1]
 
+    def tables(self, ages: int) -> tuple[np.ndarray, np.ndarray]:
+        """P(L = l) and P(death | L = l) for l = 0..ages-1, as numpy arrays.
+
+        The same values as ``prob`` and ``death_prob_at``: the explicit pmf,
+        then the geometric tail P(L = L_max + k) = tail_mass (1 - q) q^(k-1).
+        """
+        pmf = np.zeros(ages)
+        head = self.pmf[:ages]
+        pmf[:len(head)] = head
+        m, q = self.max_finite, self.tail_ratio
+        if q is not None and ages > m + 1:
+            pmf[m + 1:] = self.tail_mass * (1.0 - q) * q ** np.arange(ages - m - 1)
+        dp = self.death_prob
+        by_age = np.array((0.0, dp) if isinstance(dp, float) else (0.0, *dp))
+        return pmf, by_age.take(np.arange(ages), mode="clip")  # the last entry repeats
+
     def mean(self) -> float:
         """E[L]; infinite only for an unnormalized law (defect mass)."""
         m = math.fsum(l * p for l, p in enumerate(self.pmf))
@@ -372,15 +388,31 @@ class MeanMatrixFamily:
         return zip(self.delays, self.matrices)
 
 
+# ages summed term by term past the explicit pmf and death table; the rest of
+# the geometric tail is added in closed form
+_TERMWISE_AGES = 64
+
+
 def death_prob_by_age(lifetime: LifetimeLaw, d: int) -> float:
     """P(L <= d, death) = sum_{l=1..d} P(L = l) P(death | L = l).
 
     This is the probability that an individual has died by age d and is
-    therefore censored from reproducing at ages >= d.
+    therefore censored from reproducing at ages >= d.  Beyond a cutoff past
+    the explicit pmf and death table both factors are geometric or constant,
+    so the remainder sum_{l=c+1..d} is tail_mass dp q^(c-L_max) (1 - q^(d-c)).
     """
     if d < 1:
         raise ValueError("age must be >= 1")
-    return math.fsum(lifetime.prob(l) * lifetime.death_prob_at(l) for l in range(1, d + 1))
+    dp = lifetime.death_prob
+    table = 1 if isinstance(dp, float) else len(dp)
+    cut = min(d, max(len(lifetime.pmf), table) + _TERMWISE_AGES)
+    terms = [lifetime.prob(l) * lifetime.death_prob_at(l) for l in range(1, cut + 1)]
+    q = lifetime.tail_ratio
+    if d > cut and q:
+        terms.append(lifetime.tail_mass * lifetime.death_prob_at(d)
+                     * q ** (cut - lifetime.max_finite)
+                     * -math.expm1((d - cut) * math.log(q)))
+    return math.fsum(terms)
 
 
 def censored_mean_matrices(model: ModelSpec) -> MeanMatrixFamily:

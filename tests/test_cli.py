@@ -232,35 +232,65 @@ class TestDispatch:
         if time is not None:
             assert err.strip().endswith(f"at time {time}")
 
-    def test_simulate_dump_reuses_replicas(self, fib_config, tmp_path, monkeypatch):
+    def test_simulate_dump_rows_are_block_rows(self, fib_config, tmp_path, monkeypatch):
         calls = []
-        real = sim_mod.simulate_replica
+        real = sim_mod.simulate_block
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, "simulate_replica", counted)
+        monkeypatch.setattr(sim_mod, "simulate_block", counted)
+        monkeypatch.setattr(sim_mod, "block_rows", lambda horizon, n_types: 2)
         plain, summary, dump = (tmp_path / n for n in ("plain.csv", "sum.csv", "dump.csv"))
         argv = ["simulate", "--config", fib_config, "--horizon", "6",
                 "--replicas", "5", "--seed", "11"]
         assert dispatch(argv + ["--out", str(plain)]) == 0
         calls.clear()
         assert dispatch(argv + ["--out", str(summary), "--dump", str(dump)]) == 0
-        assert len(calls) == 5
+        assert len(calls) == math.ceil(5 / 2)
         assert summary.read_bytes() == plain.read_bytes()
         lines = dump.read_text().splitlines()
         assert lines[0] == "replica,s,type,x,z,y"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 5 * 7
         model = parse_config(json.dumps(FIB_CONFIG))
-        for k in range(5):
-            rec = real(model, 6, (11, k))
-            for s_ in range(7):
-                row = rows[k * 7 + s_]
-                assert row[:3] == [str(k), str(s_), "a"]
-                assert [int(v) for v in row[3:]] == [rec.x[s_, 0], rec.z[s_, 0],
-                                                     rec.y[s_, 0]]
+        for b, size in enumerate((2, 2, 1)):
+            block = real(model, 6, (11, b), size)
+            for r in range(size):
+                k = 2 * b + r
+                for s_ in range(7):
+                    row = rows[k * 7 + s_]
+                    assert row[:3] == [str(k), str(s_), "a"]
+                    assert [int(v) for v in row[3:]] == [block.x[r, s_, 0], block.z[r, s_, 0],
+                                                         block.y[r, s_, 0]]
+
+    def test_simulate_reports_truncation(self, fib_config, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", fib_config, "--horizon", "20",
+                "--replicas", "50", "--seed", "3", "--out", str(out)]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert dispatch(argv + ["--pop-cap", "300"]) == 0
+        err = capsys.readouterr().err
+        model = parse_config(json.dumps(FIB_CONFIG))
+        stats = sim_mod.ensemble(model, 20, 50, 3, pop_cap=300)
+        assert 0 < stats.truncated < 50
+        assert err == (f"warning: {stats.truncated} of 50 replicas truncated at pop_cap 300; "
+                       "excluded from the statistics\n")
+        assert out.read_text().splitlines()[0] == "s,type,mean_x,se_x,mean_z,se_z,mean_y,se_y"
+
+    def test_simulate_huge_delay(self, tmp_path):
+        doc = {"types": ["a"], "delays": [1, 10 ** 6],
+               "offspring": {"kind": "poisson", "means": {"1": [[0.9]], str(10 ** 6): [[0.5]]}},
+               "lifetime": {"pmf": [0.2, 0.3], "tail_ratio": 0.5, "death_prob": 0.1},
+               "initial": [3]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim.csv"
+        assert dispatch(["simulate", "--config", str(path), "--horizon", "10",
+                         "--replicas", "10000", "--seed", "5", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 12
 
     @pytest.mark.parametrize("change,field", [
         ({"lifetime": [0.0, 1.0]}, "lifetime"),

@@ -1,3 +1,5 @@
+import math
+import time
 import warnings
 
 import numpy as np
@@ -116,6 +118,63 @@ class TestDeathProbByAge:
         lt = LifetimeLaw(pmf=(0.5,), tail_ratio=0.5, death_prob=1.0)
         # P(L <= 3, death) = P(1<=L<=3) = 0.25 + 0.125 + 0.0625
         assert death_prob_by_age(lt, 3) == pytest.approx(0.4375, rel=1e-14)
+
+    @staticmethod
+    def _termwise(lt, d):
+        return math.fsum(lt.prob(l) * lt.death_prob_at(l) for l in range(1, d + 1))
+
+    def test_closed_form_tail_matches_termwise_sum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            k = int(rng.integers(1, 6))
+            pmf = rng.dirichlet(np.ones(k + 1))[:k] * rng.uniform(0.3, 1.0)
+            dp = (float(rng.uniform(0, 1)) if rng.random() < 0.5
+                  else tuple(rng.uniform(0, 1, size=int(rng.integers(0, 6))).tolist()))
+            lt = LifetimeLaw(pmf=tuple(pmf), tail_ratio=float(rng.uniform(0.0, 0.999)),
+                             death_prob=dp)
+            for d in (1, 5, 69, 70, 71, 75, 80, 200, 1000, 5000):
+                ref = self._termwise(lt, d)
+                assert death_prob_by_age(lt, d) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_same_bits_below_cutoff(self):
+        lt = LifetimeLaw(pmf=(0.1, 0.2, 0.3), tail_ratio=0.7, death_prob=(0.2, 0.5))
+        for d in range(1, 68):
+            assert death_prob_by_age(lt, d) == self._termwise(lt, d)
+
+    def test_huge_delay_validates_fast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelSpec(
+                type_names=("a",),
+                delay_family=DelayFamily((1, 10 ** 6)),
+                offspring=OffspringLaw(kind="poisson", means={1: [[0.5]], 10 ** 6: [[0.5]]}),
+                lifetime=LifetimeLaw(pmf=(0.2, 0.3), tail_ratio=0.9, death_prob=0.5))
+        start = time.perf_counter()
+        report = validate(model)
+        assert time.perf_counter() - start < 0.1
+        assert report.ok
+        # all but P(L = 0) dies by age 10^6
+        assert death_prob_by_age(model.lifetime, 10 ** 6) == pytest.approx(0.4, rel=1e-14)
+
+
+class TestLifetimeTables:
+    @pytest.mark.parametrize("pmf,tail,dp", [
+        ((0.2, 0.3, 0.5), None, 0.3),
+        ((0.4, 0.5), None, (0.1, 0.2)),          # defect mass without a tail
+        ((0.1, 0.2, 0.3), 0.6, (0.1, 0.7, 0.2)),
+        ((0.5,), 0.0, ()),
+        ((0.0, 0.25), 0.95, 1.0),
+    ])
+    def test_tables_match_per_age_calls(self, pmf, tail, dp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+        for ages in (1, 2, 3, 40):
+            p, death = lt.tables(ages)
+            assert p.shape == death.shape == (ages,)
+            for l in range(ages):
+                assert p[l] == pytest.approx(lt.prob(l), rel=1e-14, abs=0.0)
+                assert death[l] == lt.death_prob_at(l)
 
 
 class TestCensoredMeans:

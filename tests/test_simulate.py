@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
-                       OffspringLaw, ensemble, evolve_means,
-                       extinction_consistency, simulate_replica)
+                       OffspringLaw, censored_mean_matrices, ensemble,
+                       evolve_means, extinction_consistency, simulate_replica)
+from delayedbp.simulate import (BLOCK_BYTES, _multinomial, _poisson, block_rows,
+                                replica_blocks, simulate_block, summarize)
 from conftest import make_fibonacci_model
 
 
@@ -132,6 +135,127 @@ class TestEnsemble:
         b = ensemble(fib_model, 5, replicas=50, seed=31)
         assert np.array_equal(a.mean_x, b.mean_x)
         assert np.array_equal(a.se_z, b.se_z)
+
+
+class TestBlocks:
+    def test_replica_is_block_of_one(self, fib_model):
+        rec = simulate_replica(fib_model, 9, seed=(5, 2))
+        block = simulate_block(fib_model, 9, (5, 2), 1)
+        for name in "xzy":
+            assert np.array_equal(getattr(rec, name), getattr(block, name)[0])
+        det, _ = block.extinction()
+        assert rec.extinction_x.determined == det[0, 0]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (1, 5), (3, 4)])
+    def test_scalar_path_makes_the_same_draws(self, shape):
+        # the helpers switch to numpy's scalar path for a few draws
+        rng = np.random.default_rng(1)
+        pvals = np.array([0.2, 0.5, 0.1, 0.0, 0.2])
+        a = Generator(Philox(SeedSequence(3)))
+        b = Generator(Philox(SeedSequence(3)))
+        for _ in range(20):
+            n = rng.integers(0, 400, size=shape)
+            lam = rng.uniform(0.0, 50.0, size=shape)
+            got = _multinomial(a, n, pvals)
+            assert got.shape == shape + (5,)
+            assert np.array_equal(got, b.multinomial(n, pvals))
+            assert np.array_equal(_poisson(a, lam), b.poisson(lam))
+
+    def test_block_rows_bounded(self):
+        for horizon, n in ((0, 1), (10, 1), (60, 3), (4000, 1), (10 ** 6, 50)):
+            rows = block_rows(horizon, n)
+            assert rows >= 1
+            assert rows == 1 or rows * 8 * n * 6 * (horizon + 2) <= BLOCK_BYTES
+
+    def test_ensemble_is_concatenation_of_blocks(self):
+        model = subcritical_model()
+        horizon, replicas = 4000, 100
+        rows = block_rows(horizon, 1)
+        assert replicas > 2 * rows  # at least three blocks
+        blocks = list(replica_blocks(model, horizon, replicas, 61))
+        assert len(blocks) == -(-replicas // rows)
+        alone = [simulate_block(model, horizon, (61, b), min(rows, replicas - b * rows))
+                 for b in range(len(blocks))]
+        for got, want in zip(blocks, alone):
+            for name in ("x", "z", "y", "truncated"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        stats = ensemble(model, horizon, replicas, 61)
+        x = np.concatenate([b.x for b in alone]).astype(float)
+        assert np.allclose(stats.mean_x, x.mean(axis=0), rtol=1e-15, atol=0)
+        assert np.allclose(stats.se_x, x.std(axis=0, ddof=1) / np.sqrt(replicas),
+                           rtol=1e-12, atol=0)
+
+    def test_summary_independent_of_block_order(self):
+        model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(0.3, 0.2, 0.5),
+                                                          death_prob=0.2))
+        blocks = [simulate_block(model, 12, (71, b), 37) for b in range(5)]
+        fwd, rev = summarize(blocks), summarize(blocks[::-1])
+        for name in ("mean_x", "mean_z", "mean_y", "se_x", "se_z", "se_y"):
+            assert getattr(fwd, name).tobytes() == getattr(rev, name).tobytes()
+        assert fwd.extinction_frequency == rev.extinction_frequency
+
+    def test_pop_cap_truncates_some_rows(self):
+        model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(0.5, 0.0, 0.0, 0.5)))
+        block = simulate_block(model, 25, 81, 400, pop_cap=200)
+        created = block.x.sum(axis=(1, 2))
+        keep = ~block.truncated
+        assert 0 < keep.sum() < 400
+        assert np.all(created[keep] <= 200)
+        assert np.all(created[block.truncated] > 200)
+        # a truncated row stops reproducing within a step of passing the cap;
+        # unchecked, these rows would reach about 10^5 births by time 25
+        assert created.max() <= 3 * 200
+        det, _ = block.extinction()
+        assert not det[:, block.truncated].any()
+        stats = summarize([block])
+        assert (stats.replicas, stats.truncated) == (keep.sum(), 400 - keep.sum())
+        assert np.allclose(stats.mean_x, block.x[keep].mean(axis=0), rtol=1e-15, atol=0)
+
+
+def _within_4se(stats, traj, share=0.95):
+    """Whether at least ``share`` of the (time, type) cells of X, Z and Y
+    have their ensemble mean within 4 standard errors of the exact mean;
+    a cell with SE 0 must match it."""
+    hits = []
+    for mean, se, exact in ((stats.mean_x, stats.se_x, traj.ex),
+                            (stats.mean_z, stats.se_z, traj.ez),
+                            (stats.mean_y, stats.se_y, traj.ey)):
+        hits.append(np.abs(mean - exact) <= 4.0 * se + 1e-12 * np.abs(exact))
+    return np.concatenate([h.ravel() for h in hits]).mean() >= share
+
+
+class TestMonteCarloCoverage:
+    def test_pmf_offspring(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelSpec(
+                type_names=("u", "v"),
+                delay_family=DelayFamily((1, 2)),
+                offspring=OffspringLaw(kind="pmf", pmfs={
+                    1: [[(0.6, 0.3, 0.1), (0.7, 0.3)], [(0.5, 0.2, 0.2, 0.1), (0.8, 0.2)]],
+                    2: [[(0.8, 0.2), (0.5, 0.5)], [(0.9, 0.1), (0.6, 0.2, 0.2)]]}),
+                lifetime=LifetimeLaw(pmf=(0.2, 0.3, 0.5), death_prob=0.2),
+                initial=(3.0, 2.0))
+        stats = ensemble(model, 12, replicas=20_000, seed=91)
+        traj = evolve_means(model, censored_mean_matrices(model), 12)
+        assert _within_4se(stats, traj)
+
+    def test_three_types_deaths_geometric_tail(self):
+        rng = np.random.default_rng(5)
+        means = {d: (rng.uniform(0.1, 0.4, size=(3, 3)) * w).tolist()
+                 for d, w in ((1, 1.0), (2, 0.8), (4, 0.5))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = ModelSpec(
+                type_names=("a", "b", "c"),
+                delay_family=DelayFamily((1, 2, 4)),
+                offspring=OffspringLaw(kind="poisson", means=means),
+                lifetime=LifetimeLaw(pmf=(0.15, 0.25), tail_ratio=0.6,
+                                     death_prob=(0.05, 0.1, 0.3)),
+                initial=(4.0, 4.0, 4.0))
+        stats = ensemble(model, 15, replicas=20_000, seed=93)
+        traj = evolve_means(model, censored_mean_matrices(model), 15)
+        assert _within_4se(stats, traj)
 
 
 class TestExtinctionConsistency:
