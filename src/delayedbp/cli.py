@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: validate, spectral, malthusian, evolve, limits, paths, simulate,
-generate.  Models are described by a strict JSON config; any unknown field or
-out-of-range value is rejected with a field path.  Scalar reports are emitted
-as JSON and trajectories as CSV, floats always with 17 significant digits so
-that values round-trip losslessly.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+generate.  Models are described by a strict JSON config.  This module checks
+only what decoding needs (JSON types, finite numbers, known and required
+fields, delay keys, n x n shapes) and the one rule a config adds to the
+library: a lifetime pmf with no ``tail_ratio`` must sum to 1.  Every value
+rule lives in the model constructors, which raise a SchemaError naming the
+config field.  Scalar reports are emitted as JSON and trajectories as CSV,
+floats always with 17 significant digits so that values round-trip
+losslessly.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from .errors import DelayedBPError, SchemaError
 from .model import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
                     censored_mean_matrices, death_prob_by_age, validate)
 
-_MODEL_FIELDS = {"types", "delays", "offspring", "lifetime", "initial"}
-_OFFSPRING_FIELDS = {"kind", "means", "pmfs"}
-_LIFETIME_FIELDS = {"pmf", "tail_ratio", "death_prob"}
+_LAW_FIELDS = {"poisson": "means", "pmf": "pmfs"}  # offspring kind -> its table
 
 
 def _require(cond, field, message):
@@ -37,139 +38,92 @@ def _require(cond, field, message):
 
 
 def _is_number(v) -> bool:
-    """A JSON number that converts to a finite double."""
+    """A JSON number, not a boolean, that converts to a finite double."""
     try:
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return type(v) in (int, float) and math.isfinite(v)
     except OverflowError:  # an integer beyond the double range
         return False
 
 
-def _load_object(text: str, fields) -> dict:
+def _is_numbers(v, n=None) -> bool:
+    """A list of JSON numbers, of length ``n`` when given."""
+    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_is_number, v))
+
+
+def _object(value, fields, required=(), path=""):
+    """``value`` as a JSON object over ``fields``; ``path`` names it in errors."""
+    _require(isinstance(value, dict), path or "<document>", "must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(value) - fields)
+    if unknown:
+        raise SchemaError(prefix + unknown[0], "unknown field")
+    for req in required:
+        _require(req in value, prefix + req, "missing required field")
+    return value
+
+
+def _load_object(text: str, fields, required=()) -> dict:
     """Decode a JSON document whose top level is an object over ``fields``."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("<document>", f"invalid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "<document>", "top level must be an object")
-    unknown = set(doc) - fields
-    _require(not unknown, sorted(unknown)[0] if unknown else "",
-             "unknown field")
-    return doc
+    return _object(doc, fields, required)
 
 
 def parse_config(text: str) -> ModelSpec:
-    """Parse and validate a JSON model config into a ModelSpec."""
-    doc = _load_object(text, _MODEL_FIELDS)
-    for req in ("types", "delays", "offspring", "lifetime"):
-        _require(req in doc, req, "missing required field")
-
+    """Decode a JSON model config into a ModelSpec, which checks its values."""
+    required = ("types", "delays", "offspring", "lifetime")
+    doc = _load_object(text, {*required, "initial"}, required)
     types = doc["types"]
     _require(isinstance(types, list) and types, "types", "must be a nonempty list")
     _require(all(isinstance(t, str) for t in types), "types", "entries must be strings")
-
     delays = doc["delays"]
-    _require(isinstance(delays, list) and delays, "delays", "must be a nonempty list")
-    _require(all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
-                 for d in delays),
-             "delays", "entries must be integers >= 1")
-    delay_family = DelayFamily(tuple(delays))  # raises DuplicateDelayError
+    _require(isinstance(delays, list) and all(type(d) is int for d in delays),
+             "delays", "must be a list of integers")
+    delay_family = DelayFamily(tuple(delays))
 
-    off_doc = doc["offspring"]
-    _require(isinstance(off_doc, dict), "offspring", "must be an object")
-    unknown = set(off_doc) - _OFFSPRING_FIELDS
-    _require(not unknown, f"offspring.{sorted(unknown)[0]}" if unknown else "",
-             "unknown field")
-    kind = off_doc.get("kind")
-    _require(kind in ("poisson", "pmf"), "offspring.kind",
+    off = _object(doc["offspring"], {"kind", *_LAW_FIELDS.values()}, (), "offspring")
+    kind = off.get("kind")
+    _require(isinstance(kind, str) and kind in _LAW_FIELDS, "offspring.kind",
              "must be 'poisson' or 'pmf'")
-    n = len(types)
-    if kind == "poisson":
-        _require("means" in off_doc, "offspring.means", "missing required field")
-        _require("pmfs" not in off_doc, "offspring.pmfs",
-                 "not allowed for poisson kind")
-        _require(isinstance(off_doc["means"], dict), "offspring.means",
-                 "must be an object keyed by delay")
-        means = {}
-        for key, grid in off_doc["means"].items():
-            d = _parse_delay_key(key, "offspring.means")
-            arr = _parse_matrix(grid, n, f"offspring.means.{key}")
-            means[d] = arr
-        offspring = OffspringLaw(kind="poisson", means=means)
-    else:
-        _require("pmfs" in off_doc, "offspring.pmfs", "missing required field")
-        _require("means" not in off_doc, "offspring.means",
-                 "not allowed for pmf kind")
-        _require(isinstance(off_doc["pmfs"], dict), "offspring.pmfs",
-                 "must be an object keyed by delay")
-        pmfs = {}
-        for key, grid in off_doc["pmfs"].items():
-            d = _parse_delay_key(key, "offspring.pmfs")
-            path = f"offspring.pmfs.{key}"
-            _require(isinstance(grid, list) and len(grid) == n, path,
-                     f"must be a {n}x{n} grid of pmfs")
-            for i, row in enumerate(grid):
-                _require(isinstance(row, list) and len(row) == n,
-                         f"{path}[{i}]", f"must hold {n} pmfs")
-                for j, cell in enumerate(row):
-                    _require(isinstance(cell, list) and cell,
-                             f"{path}[{i}][{j}]", "must be a nonempty list")
-                    _require(all(_is_number(p) and 0 <= p <= 1 for p in cell),
-                             f"{path}[{i}][{j}]", "entries must be numbers in [0, 1]")
-            pmfs[d] = grid
-        offspring = OffspringLaw(kind="pmf", pmfs=pmfs)
-    for d in delay_family:
-        _require(d in offspring.delays_covered, f"offspring.{d}",
-                 f"no offspring law for delay {d}")
+    field = _LAW_FIELDS[kind]
+    _require(field in off, f"offspring.{field}", "missing required field")
+    for other in set(_LAW_FIELDS.values()) - {field}:
+        _require(other not in off, f"offspring.{other}", f"not allowed for {kind} kind")
+    path = f"offspring.{field}"
+    _require(isinstance(off[field], dict), path, "must be an object keyed by delay")
+    table = {_parse_delay_key(key, path): _parse_grid(grid, len(types), f"{path}.{key}",
+                                                       pmfs=field == "pmfs")
+             for key, grid in off[field].items()}
 
-    lifetime = _parse_lifetime(doc["lifetime"])
-
-    initial = doc.get("initial", 0)
-    if isinstance(initial, list):
-        _require(all(_is_number(v) for v in initial),
-                 "initial", "entries must be numbers")
-        initial = tuple(float(v) for v in initial)
-    else:
-        _require(isinstance(initial, int) and not isinstance(initial, bool),
-                 "initial", "must be a type index or a vector")
-
-    try:
-        return ModelSpec(type_names=tuple(types), delay_family=delay_family,
-                         offspring=offspring, lifetime=lifetime, initial=initial)
-    except ValueError as exc:
-        raise SchemaError("<model>", str(exc)) from exc
+    return ModelSpec(type_names=tuple(types), delay_family=delay_family,
+                     offspring=OffspringLaw(kind=kind, **{field: table}),
+                     lifetime=_parse_lifetime(doc["lifetime"]),
+                     initial=_parse_initial(doc.get("initial", 0)))
 
 
-def _parse_lifetime(lt_doc) -> LifetimeLaw:
-    _require(isinstance(lt_doc, dict), "lifetime", "must be an object")
-    unknown = set(lt_doc) - _LIFETIME_FIELDS
-    _require(not unknown, f"lifetime.{sorted(unknown)[0]}" if unknown else "",
-             "unknown field")
-    _require("pmf" in lt_doc, "lifetime.pmf", "missing required field")
-    pmf = lt_doc["pmf"]
-    _require(isinstance(pmf, list) and pmf, "lifetime.pmf", "must be a nonempty list")
-    _require(all(_is_number(p) and 0 <= p <= 1 for p in pmf),
-             "lifetime.pmf", "entries must be numbers in [0, 1]")
-    tail = lt_doc.get("tail_ratio")
-    if tail is None:
-        total = math.fsum(float(p) for p in pmf)
+def _parse_lifetime(value) -> LifetimeLaw:
+    lt = _object(value, {"pmf", "tail_ratio", "death_prob"}, ("pmf",), "lifetime")
+    pmf, tail, dp = lt["pmf"], lt.get("tail_ratio"), lt.get("death_prob", 0.0)
+    _require(_is_numbers(pmf), "lifetime.pmf", "must be a list of numbers")
+    _require(tail is None or _is_number(tail), "lifetime.tail_ratio", "must be a number")
+    if tail is None:  # a config may not leave mass at L = infinity
+        try:
+            total = math.fsum(pmf)
+        except OverflowError:
+            total = math.inf
         _require(abs(total - 1.0) <= 1e-12, "lifetime.pmf",
                  f"sums to {total!r} with no tail_ratio to absorb the rest")
-    else:
-        _require(_is_number(tail), "lifetime.tail_ratio", "must be a number")
-    dp = lt_doc.get("death_prob", 0.0)
-    if isinstance(dp, list):
-        _require(all(_is_number(x) for x in dp),
-                 "lifetime.death_prob", "entries must be numbers")
-        dp = tuple(float(x) for x in dp)
-    else:
-        _require(_is_number(dp), "lifetime.death_prob",
-                 "must be a number or list")
-    try:
-        return LifetimeLaw(pmf=tuple(float(p) for p in pmf),
-                           tail_ratio=None if tail is None else float(tail),
-                           death_prob=dp)
-    except ValueError as exc:
-        raise SchemaError("lifetime", str(exc)) from exc
+    _require(_is_number(dp) or _is_numbers(dp), "lifetime.death_prob",
+             "must be a number or a list of numbers")
+    return LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+
+
+def _parse_initial(initial):
+    _require(type(initial) is int or _is_numbers(initial), "initial",
+             "must be a type index or a vector")
+    return initial
 
 
 def _parse_delay_key(key, path):
@@ -181,42 +135,39 @@ def _parse_delay_key(key, path):
     return d
 
 
-def _parse_matrix(grid, n, path):
+def _parse_grid(grid, n, path, pmfs=False):
+    """An n x n grid of numbers, or of pmfs (lists of numbers) when ``pmfs``.
+
+    Rows are checked whole; a field path is built only for a row that fails.
+    """
     _require(isinstance(grid, list) and len(grid) == n, path,
-             f"must be a {n}x{n} matrix")
+             f"must be a {n}x{n} {'grid of pmfs' if pmfs else 'matrix'}")
     for i, row in enumerate(grid):
-        _require(isinstance(row, list) and len(row) == n, f"{path}[{i}]",
-                 f"must hold {n} numbers")
-        _require(all(_is_number(v) for v in row),
-                 f"{path}[{i}]", "entries must be numbers")
-        _require(all(v >= 0 for v in row), f"{path}[{i}]", "entries must be >= 0")
-    return np.array(grid, dtype=float)
+        if not (isinstance(row, list) and len(row) == n):
+            raise SchemaError(f"{path}[{i}]", f"must hold {n} {'pmfs' if pmfs else 'numbers'}")
+        if not all(map(_is_numbers if pmfs else _is_number, row)):
+            if not pmfs:
+                raise SchemaError(f"{path}[{i}]", "entries must be numbers")
+            j = next(j for j, cell in enumerate(row) if not _is_numbers(cell))
+            raise SchemaError(f"{path}[{i}][{j}]", "must be a list of numbers")
+    return grid
 
 
 def model_to_config(model: ModelSpec) -> dict:
     """Config document that parses back to an identical model."""
-    if model.offspring.kind == "poisson":
-        off = {"kind": "poisson",
-               "means": {str(d): model.offspring.means[d].tolist()
-                         for d in model.delay_family}}
-    else:
-        off = {"kind": "pmf",
-               "pmfs": {str(d): [[list(cell) for cell in row]
-                                 for row in model.offspring.pmfs[d]]
-                        for d in model.delay_family}}
-    lt = {"pmf": list(model.lifetime.pmf)}
-    if model.lifetime.tail_ratio is not None:
-        lt["tail_ratio"] = model.lifetime.tail_ratio
-    dp = model.lifetime.death_prob
-    lt["death_prob"] = list(dp) if isinstance(dp, tuple) else dp
-    init = model.initial
-    return {
-        "types": list(model.type_names),
-        "delays": list(model.delay_family.delays),
-        "offspring": off,
-        "lifetime": lt,
-        "initial": list(init) if isinstance(init, tuple) else init,
+    off, lt = model.offspring, model.lifetime
+    field = _LAW_FIELDS[off.kind]
+    laws = getattr(off, field)
+    lifetime = {"pmf": lt.pmf, "tail_ratio": lt.tail_ratio, "death_prob": lt.death_prob}
+    doc = {
+        "types": model.type_names,
+        "delays": model.delay_family.delays,
+        "offspring": {"kind": off.kind, field: {str(d): laws[d] for d in model.delay_family}},
+        "lifetime": {k: v for k, v in lifetime.items() if v is not None},
+        "initial": model.initial,
     }
+    # plain JSON values: tuples and arrays become lists, and floats keep every bit
+    return json.loads(json.dumps(doc, default=np.ndarray.tolist))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +207,12 @@ def emit_json(obj, indent: int = 0) -> str:
 
 
 def _write(text: str, out: str | None):
+    text += "" if text.endswith("\n") else "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _csv(header, rows) -> str:
@@ -457,56 +405,55 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_generate(args) -> int:
     with open(args.input) as fh:
-        doc = _load_object(fh.read(), {"P", "h", "nu", "rhos", "types", "lifetime",
-                                       "initial"})
-    for req in ("P", "rhos"):
-        _require(req in doc, req, "missing required field")
+        doc = _load_object(fh.read(), {"P", "h", "nu", "rhos", "types", "lifetime", "initial"},
+                           ("P", "rhos"))
     _require(("h" in doc) != ("nu" in doc), "h",
              "exactly one of 'h' (forward) or 'nu' (time-reversed) is required")
     _require(isinstance(doc["P"], list) and doc["P"], "P", "must be a square matrix")
     n = len(doc["P"])
-    p = _parse_matrix(doc["P"], n, "P")
+    p = np.array(_parse_grid(doc["P"], n, "P"), dtype=float)
     key = "h" if "h" in doc else "nu"
-    vec = doc[key]
-    _require(isinstance(vec, list) and len(vec) == n and all(map(_is_number, vec)),
-             key, f"must be a list of {n} numbers")
+    _require(_is_numbers(doc[key], n), key, f"must be a list of {n} numbers")
     _require(isinstance(doc["rhos"], dict) and doc["rhos"], "rhos",
              "must be a nonempty object keyed by delay")
     rhos = {}
     for k, value in doc["rhos"].items():
-        _require(_is_number(value) and not isinstance(value, bool),
-                 f"rhos.{k}", "must be a number")
-        rhos[_parse_delay_key(k, "rhos")] = float(value)
+        _require(_is_number(value), f"rhos.{k}", "must be a number")
+        rhos[_parse_delay_key(k, "rhos")] = value
     construct = {"h": spec_mod.construct_shared_family,
                  "nu": spec_mod.construct_shared_family_reversed}[key]
-    family = construct(p, np.array(vec, dtype=float), rhos)
+    family = construct(p, np.array(doc[key], dtype=float), rhos)
 
     types = doc.get("types", [f"t{i}" for i in range(n)])
-    _require(isinstance(types, list) and len(types) == n, "types",
+    _require(isinstance(types, list) and len(types) == n
+             and all(isinstance(t, str) for t in types), "types",
              f"must be a list of {n} names, one per row of P")
-    lt_doc = doc.get("lifetime", {"pmf": [0.0, 1.0]})
-    lifetime = _parse_lifetime(lt_doc)
+    lifetime = _parse_lifetime(doc.get("lifetime", {"pmf": [0.0, 1.0]}))
     # raw means are inflated so that death censoring lands on the target family
     means = {}
     for d in family.delays:
         keep = 1.0 - death_prob_by_age(lifetime, d)
         _require(keep > 0, f"rhos.{d}",
                  "death censoring removes all reproduction at this delay")
-        means[str(d)] = (family.matrix(d) / keep).tolist()
-    config = {
-        "types": types,
-        "delays": list(family.delays),
-        "offspring": {"kind": "poisson", "means": means},
-        "lifetime": {k: v for k, v in (("pmf", lt_doc["pmf"]),
-                                       ("tail_ratio", lt_doc.get("tail_ratio")),
-                                       ("death_prob", lt_doc.get("death_prob", 0.0)))
-                     if v is not None},
-        "initial": doc.get("initial", 0),
-    }
-    text = emit_json(config)
+        means[d] = family.matrix(d) / keep
+    model = ModelSpec(type_names=tuple(types), delay_family=DelayFamily(family.delays),
+                      offspring=OffspringLaw(kind="poisson", means=means),
+                      lifetime=lifetime, initial=_parse_initial(doc.get("initial", 0)))
+    text = emit_json(model_to_config(model))
     parse_config(text)  # what is written must load
     _write(text, args.out)
     return 0
+
+
+def _at_least(low, cast=int, strict=False):
+    """argparse ``type=`` for an option with a fixed lower bound (exit 2 below it)."""
+    def parse(text):
+        value = cast(text)
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -526,36 +473,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectral", _cmd_spectral, help="P-F data per delay and sharing check")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-12)
 
     p = add("malthusian", _cmd_malthusian, help="growth rate and step distribution")
     p.add_argument("--config", required=True)
 
     p = add("evolve", _cmd_evolve, help="mean trajectories as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_at_least(0), required=True)
 
     p = add("limits", _cmd_limits, help="closed-form limits for shared families")
     p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=int, default=400)
+    p.add_argument("--horizon", type=_at_least(0), default=400)
 
     p = add("paths", _cmd_paths, help="path classes, run fractions, kernel estimates")
     p.add_argument("--config", required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_at_least(0), required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--kappa", type=int, default=None)
-    p.add_argument("--upsilon", type=int, default=None)
+    p.add_argument("--kappa", type=_at_least(2), default=None)
+    p.add_argument("--upsilon", type=_at_least(1), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=_at_least(1), default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo ensemble as CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pop-cap", type=int, default=sim_mod.DEFAULT_POP_CAP)
+    p.add_argument("--horizon", type=_at_least(0), required=True)
+    p.add_argument("--replicas", type=_at_least(1), required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
+    p.add_argument("--pop-cap", type=_at_least(1), default=sim_mod.DEFAULT_POP_CAP)
     p.add_argument("--dump", default=None, help="per-replica CSV path")
 
     p = add("generate", _cmd_generate,

@@ -5,10 +5,10 @@ class DelayedBPError(Exception):
     """Base class for all library errors."""
 
 
-class SchemaError(DelayedBPError):
-    """A config document violates the schema.
+class SchemaError(DelayedBPError, ValueError):
+    """A config value breaks a rule of the model (or of ``generate``'s input).
 
-    ``field`` carries a dotted path to the offending entry.
+    ``field`` carries the dotted config path to the offending entry.
     """
 
     def __init__(self, field, message):

@@ -16,9 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateDelayError, NegativeEntryError, NonIrreducibleError
+from .errors import (DuplicateDelayError, NegativeEntryError, NonIrreducibleError,
+                     SchemaError)
 
 _NORM_TOL = 1e-12
+
+
+def _check_unit(field, values):
+    """Raise SchemaError(field) unless every value lies in [0, 1]."""
+    bad = [v for v in values if not 0.0 <= v <= 1.0]  # NaN is caught too
+    if bad:
+        raise SchemaError(field, f"entry {bad[0]!r} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -30,9 +38,9 @@ class DelayFamily:
     def __post_init__(self):
         delays = tuple(int(d) for d in self.delays)
         if len(delays) == 0:
-            raise ValueError("at least one delay is required")
+            raise SchemaError("delays", "at least one delay is required")
         if any(d < 1 for d in delays):
-            raise ValueError(f"delays must be >= 1, got {delays}")
+            raise SchemaError("delays", f"entries must be >= 1, got {list(delays)}")
         if len(set(delays)) != len(delays):
             raise DuplicateDelayError(delays)
         delays = tuple(sorted(delays))
@@ -79,14 +87,11 @@ class LifetimeLaw:
     def __post_init__(self):
         pmf = tuple(float(p) for p in self.pmf)
         if len(pmf) == 0:
-            raise ValueError("lifetime pmf must have at least one entry")
-        if any(p < 0 for p in pmf):
-            raise NegativeEntryError("lifetime.pmf", min(pmf))
-        if max(pmf) > 1.0:  # also keeps fsum below overflow
-            raise ValueError(f"lifetime pmf entry {max(pmf)!r} > 1")
+            raise SchemaError("lifetime.pmf", "must have at least one entry")
+        _check_unit("lifetime.pmf", pmf)  # also keeps fsum below overflow
         total = math.fsum(pmf)
         if total > 1.0 + _NORM_TOL:
-            raise ValueError(f"lifetime pmf sums to {total!r} > 1")
+            raise SchemaError("lifetime.pmf", f"sums to {total!r} > 1")
         if self.tail_ratio is None:
             if abs(total - 1.0) > _NORM_TOL:
                 # constructible so that validate() can report the defect;
@@ -96,18 +101,12 @@ class LifetimeLaw:
         else:
             q = float(self.tail_ratio)
             if not (0.0 <= q < 1.0):
-                raise ValueError(f"tail ratio must lie in [0, 1), got {q!r}")
+                raise SchemaError("lifetime.tail_ratio", f"must lie in [0, 1), got {q!r}")
             object.__setattr__(self, "tail_ratio", q)
         object.__setattr__(self, "pmf", pmf)
         dp = self.death_prob
-        if isinstance(dp, (int, float)):
-            dp = float(dp)
-            if not (0.0 <= dp <= 1.0):
-                raise ValueError(f"death probability {dp!r} outside [0, 1]")
-        else:
-            dp = tuple(float(x) for x in dp)
-            if any(not (0.0 <= x <= 1.0) for x in dp):
-                raise ValueError("death probabilities must lie in [0, 1]")
+        dp = float(dp) if isinstance(dp, (int, float)) else tuple(float(x) for x in dp)
+        _check_unit("lifetime.death_prob", dp if isinstance(dp, tuple) else (dp,))
         object.__setattr__(self, "death_prob", dp)
         if self.survival(0) <= 0.0:
             warnings.warn("P(L > 0) = 0: every individual is asymptomatic",
@@ -223,41 +222,30 @@ class OffspringLaw:
 
     def __post_init__(self):
         if self.kind not in ("poisson", "pmf"):
-            raise ValueError(f"unknown offspring law kind {self.kind!r}")
+            raise SchemaError("offspring.kind", f"must be 'poisson' or 'pmf', got {self.kind!r}")
+        table = "means" if self.kind == "poisson" else "pmfs"
+        if getattr(self, table) is None:
+            raise SchemaError(f"offspring.{table}", "missing required field")
         if self.kind == "poisson":
-            if self.means is None:
-                raise ValueError("poisson offspring law requires means")
             means = {int(d): np.asarray(m, dtype=float) for d, m in self.means.items()}
             for d, m in means.items():
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                    raise ValueError(f"offspring mean matrix at delay {d} is not square")
+                    raise SchemaError(f"offspring.means.{d}", "must be a square matrix")
                 if np.any(m < 0):
-                    raise NegativeEntryError(f"offspring.means[{d}]", float(m.min()))
+                    i = int(np.flatnonzero((m < 0).any(axis=1))[0])
+                    raise NegativeEntryError(f"offspring.means.{d}[{i}]", float(m[i].min()))
                 m.setflags(write=False)
             object.__setattr__(self, "means", means)
         else:
-            if self.pmfs is None:
-                raise ValueError("pmf offspring law requires pmfs")
-            pmfs = {}
-            for d, grid in self.pmfs.items():
-                rows = []
+            pmfs = {int(d): [[tuple(float(p) for p in cell) for cell in row] for row in grid]
+                    for d, grid in self.pmfs.items()}
+            for d, grid in pmfs.items():
                 for i, row in enumerate(grid):
-                    cells = []
                     for j, cell in enumerate(row):
-                        cell = tuple(float(p) for p in cell)
-                        if any(p < 0 for p in cell):
-                            raise NegativeEntryError(f"offspring.pmfs[{d}][{i}][{j}]",
-                                                     min(cell))
-                        if any(p > 1.0 for p in cell):  # also keeps fsum below overflow
-                            raise ValueError(f"offspring pmf at (d={d}, i={i}, j={j}) "
-                                             f"has an entry {max(cell)!r} > 1")
+                        path = f"offspring.pmfs.{d}[{i}][{j}]"
+                        _check_unit(path, cell)  # also keeps fsum below overflow
                         if abs(math.fsum(cell) - 1.0) > _NORM_TOL:
-                            raise ValueError(
-                                f"offspring pmf at (d={d}, i={i}, j={j}) sums to "
-                                f"{math.fsum(cell)!r}")
-                        cells.append(cell)
-                    rows.append(cells)
-                pmfs[int(d)] = rows
+                            raise SchemaError(path, f"sums to {math.fsum(cell)!r}")
             object.__setattr__(self, "pmfs", pmfs)
 
     @property
@@ -267,8 +255,7 @@ class OffspringLaw:
 
     def n_types(self) -> int:
         table = self.means if self.kind == "poisson" else self.pmfs
-        first = next(iter(table.values()))
-        return first.shape[0] if self.kind == "poisson" else len(first)
+        return len(next(iter(table.values())))
 
     def mean_matrix(self, d: int) -> np.ndarray:
         """E[z_d^{i,j}] as an (n, n) array."""
@@ -296,25 +283,25 @@ class ModelSpec:
     def __post_init__(self):
         names = tuple(str(t) for t in self.type_names)
         if len(names) == 0:
-            raise ValueError("at least one type is required")
+            raise SchemaError("types", "at least one type is required")
         object.__setattr__(self, "type_names", names)
         n = len(names)
         covered = self.offspring.delays_covered
         for d in self.delay_family:
             if d not in covered:
-                raise ValueError(f"offspring law missing for delay {d}")
+                raise SchemaError(f"offspring.{d}", f"no offspring law for delay {d} (key missing)")
         if self.offspring.n_types() != n:
-            raise ValueError(
-                f"offspring law is for {self.offspring.n_types()} types, model has {n}")
+            raise SchemaError(
+                "offspring", f"law is for {self.offspring.n_types()} types, model has {n}")
         init = self.initial
         if isinstance(init, (int, np.integer)):
             if not (0 <= init < n):
-                raise ValueError(f"initial type index {init} out of range")
+                raise SchemaError("initial", f"type index {init} out of range")
             object.__setattr__(self, "initial", int(init))
         else:
             init = tuple(float(x) for x in init)
             if len(init) != n:
-                raise ValueError("initial vector length does not match type count")
+                raise SchemaError("initial", f"length {len(init)} != type count {n}")
             if any(x < 0 for x in init):
                 raise NegativeEntryError("initial", min(init))
             object.__setattr__(self, "initial", init)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotStochasticError
+from .errors import (NegativeEntryError, NoConvergenceError, NotStochasticError,
+                     SchemaError)
 
 DEFAULT_TOL = 1e-12
 SHARING_TOL = 1e-8
@@ -212,15 +213,16 @@ def normalized_word_product(family, word, pf: dict[int, PFData] | None = None) -
 def _check_stochastic(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("matrix must be square")
+        raise SchemaError("P", "must be a square matrix")
     if np.any(p < 0):
-        raise ValueError("stochastic matrix must be nonnegative")
+        i = int(np.flatnonzero((p < 0).any(axis=1))[0])
+        raise NegativeEntryError(f"P[{i}]", float(p[i].min()))
     sums = p.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-12)
     if bad.size:
         raise NotStochasticError(int(bad[0]), float(sums[bad[0]]))
     if not is_irreducible(p):
-        raise ValueError("stochastic matrix must be irreducible")
+        raise SchemaError("P", "stochastic matrix must be irreducible")
     return p
 
 
@@ -251,7 +253,7 @@ def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     p = _check_stochastic(p)
     vec = np.asarray(vec, dtype=float)
     if np.any(vec <= 0):
-        raise ValueError(f"{name} must be strictly positive")
+        raise SchemaError(name, "must be strictly positive")
     if reverse:
         left, right = vec[None, :] / vec[:, None], p.T
     else:
@@ -261,7 +263,7 @@ def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     for d in delays:
         r = float(rhos[d])
         if r <= 0:
-            raise ValueError(f"eigenvalue for delay {d} must be positive, got {r}")
+            raise SchemaError(f"rhos.{d}", f"eigenvalue must be positive, got {r}")
         mats.append(r * left * right)
     return MeanMatrixFamily(delays, tuple(mats))
 
