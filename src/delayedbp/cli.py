@@ -14,9 +14,11 @@ losslessly.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -93,9 +95,9 @@ def parse_config(text: str) -> ModelSpec:
         _require(other not in off, f"offspring.{other}", f"not allowed for {kind} kind")
     path = f"offspring.{field}"
     _require(isinstance(off[field], dict), path, "must be an object keyed by delay")
-    table = {_parse_delay_key(key, path): _parse_grid(grid, len(types), f"{path}.{key}",
-                                                       pmfs=field == "pmfs")
-             for key, grid in off[field].items()}
+    table = _delay_keyed(off[field], path,
+                         lambda grid, where: _parse_grid(grid, len(types), where,
+                                                         pmfs=field == "pmfs"))
 
     return ModelSpec(type_names=tuple(types), delay_family=delay_family,
                      offspring=OffspringLaw(kind=kind, **{field: table}),
@@ -126,13 +128,25 @@ def _parse_initial(initial):
     return initial
 
 
-def _parse_delay_key(key, path):
-    try:
-        d = int(key)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}.{key}", "key must be an integer delay") from None
-    _require(d >= 1, f"{path}.{key}", "delay must be >= 1")
-    return d
+def _delay_keyed(obj: dict, path: str, parse) -> dict:
+    """{delay: parse(entry, field)} of a JSON object keyed by delay.  Two keys
+    naming one delay (``"1"`` and ``"01"``) are an error naming the second."""
+    table = {}
+    for key, entry in obj.items():
+        where = f"{path}.{key}"
+        try:
+            d = int(key)
+        except (TypeError, ValueError):
+            raise SchemaError(where, "key must be an integer delay") from None
+        _require(d >= 1, where, "delay must be >= 1")
+        _require(d not in table, where, f"delay {d} is already given")
+        table[d] = parse(entry, where)
+    return table
+
+
+def _parse_rho(value, where):
+    _require(_is_number(value), where, "must be a number")
+    return value
 
 
 def _parse_grid(grid, n, path, pmfs=False):
@@ -206,26 +220,50 @@ def emit_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
-def _write(text: str, out: str | None):
-    text += "" if text.endswith("\n") else "\n"
+@contextmanager
+def _output(out: str | None):
+    """The file ``out`` opened for writing, or stdout when ``out`` is None."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append("" if v != v else f"{float(v):.17g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write(text: str, out: str | None):
+    text += "" if text.endswith("\n") else "\n"
+    with _output(out) as fh:
+        fh.write(text)
+
+
+_CSV_CHUNK = 1024  # rows formatted and written at a time
+
+
+def _write_csv(out: str | None, header, parts, cell: str = "%.17g"):
+    """Stream a CSV to ``out``: the header, then for each (keys, values) part
+    one row per key, the key's cells followed by the matching row of the
+    (rows, cols) array ``values``, each formatted with ``cell``.
+
+    Rows are formatted with one %-format each and written a chunk at a time,
+    so the whole text is never held.  A NaN value is an empty cell; key cells
+    are written as they are.
+    """
+    with _output(out) as fh:
+        fh.write(",".join(header) + "\n")
+        for keys, values in parts:
+            keys = iter(keys)
+            n_keys = len(header) - values.shape[1]
+            fmt = ",".join(["%s"] * n_keys + [cell] * values.shape[1]) + "\n"
+            for start in range(0, len(values), _CSV_CHUNK):
+                chunk = values[start:start + _CSV_CHUNK]
+                rows = zip(chunk.tolist(), keys)  # rows first: zip stops before a key
+                if chunk.dtype.kind == "f" and np.isnan(chunk).any():
+                    lines = [",".join([*map(str, key), *("" if v != v else cell % v
+                                                         for v in row)]) + "\n"
+                             for row, key in rows]
+                else:
+                    lines = [fmt % (*key, *row) for row, key in rows]
+                fh.write("".join(lines))
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -291,12 +329,10 @@ def _cmd_evolve(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
     traj = rec_mod.evolve_means(model, family, args.horizon)
-    rows = []
-    for s in range(args.horizon + 1):
-        for j, name in enumerate(model.type_names):
-            rows.append((s, name, traj.ex[s, j], traj.ez[s, j], traj.ey[s, j],
-                         traj.wx[s, j], traj.wz[s, j], traj.wy[s, j]))
-    _write(_csv(("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"), rows), args.out)
+    values = np.stack((traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy), axis=-1)
+    keys = itertools.product(range(args.horizon + 1), model.type_names)
+    _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"),
+               [(keys, values.reshape(-1, 6))])
     return 0
 
 
@@ -322,6 +358,10 @@ def _cmd_paths(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
     delays = family.delays
+    if args.upsilon is not None:
+        if args.alpha is None or args.delta is None:
+            raise SchemaError("--upsilon", "requires --alpha and --delta")
+        paths_mod.check_block_run_params(delays, args.alpha, args.delta, prefix="--")
     classes = paths_mod.enumerate_lambda(delays, args.s, r=args.r)
     doc = {
         "s": args.s,
@@ -341,8 +381,6 @@ def _cmd_paths(args) -> int:
                     "value": float(rf.minimum)},
         }
     if args.upsilon is not None:
-        if args.alpha is None or args.delta is None:
-            raise SchemaError("--upsilon", "requires --alpha and --delta")
         block = {}
         for k in classes:
             if k.r <= (1 << args.upsilon):
@@ -376,31 +414,27 @@ def _cmd_simulate(args) -> int:
     if stats.truncated:
         sys.stderr.write(f"warning: {stats.truncated} of {args.replicas} replicas truncated "
                          f"at pop_cap {args.pop_cap}; excluded from the statistics\n")
-    rows = []
-    for s in range(args.horizon + 1):
-        for j, name in enumerate(model.type_names):
-            rows.append((
-                s, name,
-                stats.mean_x[s, j],
-                stats.se_x[s, j] if stats.se_x is not None else float("nan"),
-                stats.mean_z[s, j],
-                stats.se_z[s, j] if stats.se_z is not None else float("nan"),
-                stats.mean_y[s, j],
-                stats.se_y[s, j] if stats.se_y is not None else float("nan"),
-            ))
-    _write(_csv(("s", "type", "mean_x", "se_x", "mean_z", "se_z",
-                 "mean_y", "se_y"), rows), args.out)
+    # one replica has no standard errors: NaN columns, written as empty cells
+    cols = (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z, stats.mean_y, stats.se_y)
+    values = np.stack([np.full_like(stats.mean_x, np.nan) if c is None else c for c in cols],
+                      axis=-1)
+    keys = itertools.product(range(args.horizon + 1), model.type_names)
+    _write_csv(args.out, ("s", "type", "mean_x", "se_x", "mean_z", "se_z", "mean_y", "se_y"),
+               [(keys, values.reshape(-1, 6))])
     if args.dump is not None:
-        with open(args.dump, "w") as fh:  # written one replica at a time
-            fh.write("replica,s,type,x,z,y\n")
-            k = 0
-            for block in blocks:
-                for replica in block.counts.transpose(0, 2, 3, 1):
-                    fh.writelines(f"{k},{s},{name},{x},{z},{y}\n"
-                                  for s, row in enumerate(replica.tolist())
-                                  for name, (x, z, y) in zip(model.type_names, row))
-                    k += 1
+        _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"),
+                   _dump_parts(blocks, args.horizon, model.type_names), cell="%d")
     return 0
+
+
+def _dump_parts(blocks, horizon, types):
+    """(keys, counts) per block for ``--dump``: row k of the dump is replica k."""
+    k = 0
+    for block in blocks:
+        rows = len(block.counts)
+        yield (itertools.product(range(k, k + rows), range(horizon + 1), types),
+               block.counts.transpose(0, 2, 3, 1).reshape(-1, 3))
+        k += rows
 
 
 def _cmd_generate(args) -> int:
@@ -416,10 +450,7 @@ def _cmd_generate(args) -> int:
     _require(_is_numbers(doc[key], n), key, f"must be a list of {n} numbers")
     _require(isinstance(doc["rhos"], dict) and doc["rhos"], "rhos",
              "must be a nonempty object keyed by delay")
-    rhos = {}
-    for k, value in doc["rhos"].items():
-        _require(_is_number(value), f"rhos.{k}", "must be a number")
-        rhos[_parse_delay_key(k, "rhos")] = value
+    rhos = _delay_keyed(doc["rhos"], "rhos", _parse_rho)
     construct = {"h": spec_mod.construct_shared_family,
                  "nu": spec_mod.construct_shared_family_reversed}[key]
     family = construct(p, np.array(doc[key], dtype=float), rhos)

@@ -6,9 +6,11 @@ class DelayedBPError(Exception):
 
 
 class SchemaError(DelayedBPError, ValueError):
-    """A config value breaks a rule of the model (or of ``generate``'s input).
+    """A config value breaks a rule of the model (or of ``generate``'s input),
+    or a command-line option breaks a rule that depends on the model.
 
-    ``field`` carries the dotted config path to the offending entry.
+    ``field`` carries the dotted config path to the offending entry, or the
+    option's name.
     """
 
     def __init__(self, field, message):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import BetaNotNormalizedError, CapExceededError
+from .errors import BetaNotNormalizedError, CapExceededError, SchemaError
 from .spectral import family_pf
 
 ENUMERATION_S_CAP = 64
@@ -159,6 +159,16 @@ def run_fraction(delays, s: int, kappa: int, cap: int = WORD_CAP) -> RunFraction
     return RunFractions(by_class=fractions, minimum=min(fractions.values()))
 
 
+def check_block_run_params(delays, alpha: float, delta: float, prefix: str = "") -> None:
+    """Raise a SchemaError naming ``prefix + "alpha"`` or ``prefix + "delta"``
+    unless 0 < alpha < 1/(number of delays) and 0 < delta < 1/2."""
+    n_sym = len(set(delays))
+    if not (0.0 < alpha < 1.0 / n_sym):
+        raise SchemaError(f"{prefix}alpha", f"must lie in (0, 1/{n_sym}), got {alpha!r}")
+    if not (0.0 < delta < 0.5):
+        raise SchemaError(f"{prefix}delta", f"must lie in (0, 1/2), got {delta!r}")
+
+
 def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) -> bool:
     """Aligned-block run test behind the run-frequency lower bound.
 
@@ -169,11 +179,7 @@ def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) 
     """
     if upsilon < 1:
         raise ValueError("upsilon must be >= 1")
-    n_sym = len(set(delays))
-    if not (0.0 < alpha < 1.0 / n_sym):
-        raise ValueError(f"alpha must lie in (0, 1/{n_sym})")
-    if not (0.0 < delta < 0.5):
-        raise ValueError("delta must lie in (0, 1/2)")
+    check_block_run_params(delays, alpha, delta)
     r = len(word)
     block = 1 << upsilon
     if r <= block:

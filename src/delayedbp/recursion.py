@@ -1,10 +1,11 @@
 """Exact mean evolution of the incidence, symptomatic and asymptomatic counts.
 
 Everything here is driven by one linear recursion, the renewal step of
-``_renew``: row s of a stacked state is its preloaded source plus the sum over
-delays d of row s-d pushed through M_d.  A row may be one mean vector or a
-stack of them (the last axis always indexes types), so one step serves every
-quantity at once.  The three processes differ only in their source:
+``_renew_rows``: row s of a stacked state is its preloaded source plus the
+sum over delays d of row s-d pushed through M_d.  A row may be one mean
+vector or a stack of them (the last axis always indexes types), so one step
+serves every quantity at once.  The three processes differ only in their
+source:
 
 * incidence X:     E[X(0)] at s = 0, nothing afterwards;
 * symptomatic Z:   E[X(0)] * P(L > s) at every s;
@@ -13,8 +14,12 @@ quantity at once.  The three processes differ only in their source:
 Geometrically weighted versions (multiplied by exp(-theta*s)) run the same
 step with M_d scaled by exp(-theta*d) rather than being rescaled after the
 fact, which keeps long supercritical or subcritical horizons inside
-floating-point range.  The kernel Xi(s) is the same step on a stack of n
-rows started from the identity, so that E[X(s)]' = E[X(0)]' Xi(s).
+floating-point range.  ``evolve_means`` renews one state of shape
+(S+1, 2, 3, types): (raw, weighted) x (X, Z, Y), with per-delay stacked
+matrices [M_d, exp(-theta*d) M_d] of shape (2, types, types), so the raw and
+weighted means advance in one pass and the overflow guard sees all six
+series at once.  The kernel Xi(s) is the same step on a stack of n rows
+started from the identity, so that E[X(s)]' = E[X(0)]' Xi(s).
 """
 
 from __future__ import annotations
@@ -37,7 +42,12 @@ def _renew(family, v: np.ndarray, start: int = 0, theta: float = 0.0) -> None:
     Raises HorizonTooLargeError at the first such s whose row exceeds
     OVERFLOW_LIMIT.
     """
-    mats = [(d, math.exp(-theta * d) * mat) for d, mat in family.items()]
+    _renew_rows([(d, math.exp(-theta * d) * mat) for d, mat in family.items()], v, start)
+
+
+def _renew_rows(mats, v: np.ndarray, start: int = 0) -> None:
+    """In place: v[s] += sum over (d, mat) in ``mats`` of v[s-d] @ mat, for
+    s >= start; ``mat`` may be a stack that broadcasts against a row."""
     for s in range(start, len(v)):
         v[s] += sum(v[s - d] @ mat for d, mat in mats if d <= s)
         if v[s].max() > OVERFLOW_LIMIT:
@@ -75,26 +85,21 @@ def evolve_means(model, family, horizon: int, mal: MalthusianSolution | None = N
     lt = model.lifetime
     x0 = model.initial_mean_vector()
 
-    # row s of each state stacks (X, Z, Y); preload the sources, then renew
-    raw = np.zeros((horizon + 1, 3, family.n_types))
-    wtd = np.zeros_like(raw)
-    raw[0, 0] = wtd[0, 0] = x0
+    # row s stacks (raw, weighted) x (X, Z, Y); preload the sources, then renew
+    v = np.zeros((horizon + 1, 2, 3, family.n_types))
+    v[0, :, 0] = x0
     for s in range(horizon + 1):
-        raw[s, 1] = x0 * lt.survival(s)
-        wtd[s, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
+        v[s, 0, 1] = x0 * lt.survival(s)
+        v[s, 1, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
     for s in range(min(family.max_delay, horizon) + 1):
-        raw[s, 2] = x0 * lt.prob(0)
-        wtd[s, 2] = _scaled(x0, lt.prob(0), -theta * s)
-    try:
-        _renew(family, raw)
-    except HorizonTooLargeError as exc:
-        _renew(family, wtd[:exc.s], theta=theta)  # an earlier weighted overflow wins
-        raise
-    _renew(family, wtd, theta=theta)
+        v[s, 0, 2] = x0 * lt.prob(0)
+        v[s, 1, 2] = _scaled(x0, lt.prob(0), -theta * s)
+    _renew_rows([(d, np.stack((mat, math.exp(-theta * d) * mat)))
+                 for d, mat in family.items()], v)
 
     return MeanTrajectory(horizon=horizon, theta=theta,
-                          ex=raw[:, 0], ez=raw[:, 1], ey=raw[:, 2],
-                          wx=wtd[:, 0], wz=wtd[:, 1], wy=wtd[:, 2])
+                          ex=v[:, 0, 0], ez=v[:, 0, 1], ey=v[:, 0, 2],
+                          wx=v[:, 1, 0], wz=v[:, 1, 1], wy=v[:, 1, 2])
 
 
 def _weighted_survival(lt, c: int, theta: float) -> tuple[float, float]:

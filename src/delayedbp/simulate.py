@@ -21,8 +21,9 @@ pop_cap is truncated: from the next time step on it draws no offspring.
 A block draws from one counter-based Philox stream keyed by its seed, which
 makes it a pure function of (model, horizon, seed, rows, pop_cap).  Ensemble
 replica k is row k % B of block k // B, and that block's stream is keyed
-(seed, k // B).  B = ``block_rows(horizon, n_types)`` depends on nothing
-else, so results do not depend on how blocks are scheduled.
+(seed, k // B).  B = ``block_rows`` depends only on the horizon, the type
+count and, for pmf-kind laws, the size of the offspring split, so results do
+not depend on how blocks are scheduled.
 ``simulate_replica`` is a block of one row keyed by its seed.
 """
 
@@ -111,14 +112,16 @@ class ReplicaBlock:
         return det, np.where(det, end, -1)
 
 
-def block_rows(horizon: int, n_types: int) -> int:
+def block_rows(horizon: int, n_types: int, split_cells: int = 0) -> int:
     """Rows per ensemble block: as many as keep one block within BLOCK_BYTES.
 
     A row holds six int64 planes of at most (horizon + 2) x types: X, Z and
     Y, one step's lifetime draws, the temporary of their update, and one
-    step's offspring draws.
+    step's offspring draws.  A pmf-kind law adds its offspring split, one
+    int64 per (delay, parent type, child type, offspring value): pass that
+    count as ``split_cells``.
     """
-    return max(1, BLOCK_BYTES // (48 * n_types * (horizon + 2)))
+    return max(1, BLOCK_BYTES // (48 * n_types * (horizon + 2) + 8 * split_cells))
 
 
 def simulate_block(model, horizon: int, seed, rows: int,
@@ -279,7 +282,10 @@ def ensemble(model, horizon: int, replicas: int, seed,
 def replica_blocks(model, horizon: int, replicas: int, seed,
                    pop_cap: int = DEFAULT_POP_CAP):
     """Yield the blocks holding replicas 0..replicas-1, block b keyed (seed, b)."""
-    rows = block_rows(horizon, model.n_types)
+    off = model.offspring
+    split = 0 if off.kind == "poisson" else _pmf_array(
+        [off.pmfs[d] for d in model.delay_family.delays]).size
+    rows = block_rows(horizon, model.n_types, split)
     for b, first in enumerate(range(0, replicas, rows)):
         yield simulate_block(model, horizon, (seed, b), min(rows, replicas - first), pop_cap)
 

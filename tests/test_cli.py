@@ -241,7 +241,7 @@ class TestDispatch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sim_mod, "simulate_block", counted)
-        monkeypatch.setattr(sim_mod, "block_rows", lambda horizon, n_types: 2)
+        monkeypatch.setattr(sim_mod, "block_rows", lambda horizon, n_types, split_cells=0: 2)
         plain, summary, dump = (tmp_path / n for n in ("plain.csv", "sum.csv", "dump.csv"))
         argv = ["simulate", "--config", fib_config, "--horizon", "6",
                 "--replicas", "5", "--seed", "11"]
@@ -404,3 +404,111 @@ def test_fuzz_documents(command, flag, base, data, tmp_path, capsys):
     assert "Traceback" not in err
     if code:
         assert any(line.startswith("error:") for line in err.splitlines())
+
+
+# ---------------------------------------------------------------------------
+# the CSV format, delay-key duplicates, typed path options, ``python -m``
+
+THREE_TYPE_CONFIG = {
+    "types": ["u", "v", "w"],
+    "delays": [1, 3],
+    "offspring": {"kind": "poisson",
+                  "means": {"1": [[0.2, 0.1, 0.3], [0.1, 0.25, 0.1], [0.3, 0.1, 0.2]],
+                            "3": [[0.1, 0.2, 0.1], [0.2, 0.1, 0.3], [0.1, 0.1, 0.15]]}},
+    "lifetime": {"pmf": [0.2, 0.3, 0.1], "tail_ratio": 0.7, "death_prob": 0.2},
+    "initial": [2.0, 0.0, 1.5],
+}
+
+
+class TestCsvFormat:
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_evolve_matches_per_cell_reference(self, to_file, tmp_path, capsys):
+        from delayedbp import cli as cli_mod
+        from delayedbp.model import censored_mean_matrices
+        from delayedbp.recursion import evolve_means
+
+        horizon = 1500
+        assert 3 * (horizon + 1) > cli_mod._CSV_CHUNK  # the rows span several chunks
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(THREE_TYPE_CONFIG))
+        argv = ["evolve", "--config", str(path), "--horizon", str(horizon)]
+        out = tmp_path / "evolve.csv"
+        assert dispatch(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+
+        model = parse_config(json.dumps(THREE_TYPE_CONFIG))
+        traj = evolve_means(model, censored_mean_matrices(model), horizon)
+        series = (traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy)
+        lines = ["s,type,ex,ez,ey,wx,wz,wy"]
+        for s in range(horizon + 1):
+            for j, name in enumerate(model.type_names):
+                lines.append(",".join([str(s), name] + [f"{a[s, j]:.17g}" for a in series]))
+        # compared line by line: a diff of the whole text would take minutes
+        assert text.endswith("\n")
+        got = text[:-1].split("\n")
+        assert len(got) == len(lines)
+        bad = next((k for k, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+        assert bad is None, (bad, got[bad], lines[bad])
+
+    def test_single_replica_leaves_se_empty_and_keeps_names(self, tmp_path, capsys):
+        doc = dict(THREE_TYPE_CONFIG, types=["nan", "inf", "w"], initial=[2, 0, 1])
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["simulate", "--config", str(path), "--horizon", "4",
+                         "--replicas", "1", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "s,type,mean_x,se_x,mean_z,se_z,mean_y,se_y"
+        assert len(lines) == 1 + 5 * 3
+        for k, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[:2] == [str(k // 3), ("nan", "inf", "w")[k % 3]]
+            assert cells[3] == cells[5] == cells[7] == ""
+            assert all(float(c) >= 0 for c in (cells[2], cells[4], cells[6]))
+        assert lines[1].split(",")[2] == "2"  # X(0) of type "nan"
+
+
+class TestDuplicateDelayKeys:
+    def test_config_table(self, tmp_path, capsys):
+        doc = dict(FIB_CONFIG)
+        doc["offspring"] = {"kind": "poisson",
+                            "means": {"1": [[1.0]], "01": [[5.0]], "2": [[1.0]]}}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["malthusian", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:SchemaError: offspring.means.01:")
+
+    def test_generate_rhos(self, tmp_path, capsys):
+        gen = {"P": [[0.5, 0.5], [0.5, 0.5]], "h": [2.0, 1.0],
+               "rhos": {"1": 0.4, "2": 0.5, "+1": 0.3}}
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(gen))
+        assert dispatch(["generate", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:SchemaError: rhos.+1:")
+
+
+class TestBlockRunOptions:
+    @pytest.mark.parametrize("s", ["6", "1"])  # "1": no class is long enough
+    @pytest.mark.parametrize("alpha,delta,option", [("0.9", "0.1", "--alpha"),
+                                                    ("0.0", "0.1", "--alpha"),
+                                                    ("0.1", "0.5", "--delta"),
+                                                    ("0.1", "nan", "--delta")])
+    def test_out_of_range_is_typed(self, s, alpha, delta, option, fib_config, capsys):
+        assert dispatch(["paths", "--config", fib_config, "--s", s, "--upsilon", "1",
+                         "--alpha", alpha, "--delta", delta]) == 1
+        assert capsys.readouterr().err.startswith(f"error:SchemaError: {option}: must lie in")
+
+
+def test_python_m_runs_the_cli(fib_config):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "delayedbp", "validate", "--config", fib_config],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["ok"] is True

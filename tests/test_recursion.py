@@ -129,6 +129,39 @@ class TestEvolveMeans:
             assert np.all(heavier.ez <= lighter.ez + 1e-12)
             assert np.all(heavier.ey <= lighter.ey + 1e-12)
 
+    def test_joint_renewal_matches_two_pass_bitwise(self):
+        # reference: the raw and the weighted state renewed apart, each through
+        # _renew; the joint (raw, weighted) state must give the same bits
+        from delayedbp.recursion import _renew, _scaled, _weighted_survival
+        rng = np.random.default_rng(211)
+        for _ in range(12):
+            n = int(rng.integers(1, 7))
+            delays = tuple(sorted(rng.choice(np.arange(1, 7), size=int(rng.integers(1, 4)),
+                                             replace=False).tolist()))
+            fam = random_positive_family(rng, n, delays, scale=float(rng.uniform(0.3, 1.5)))
+            lt = LifetimeLaw(pmf=tuple(rng.uniform(0.0, 0.3, size=3)),
+                             tail_ratio=float(rng.uniform(0.1, 0.9)))
+            model = poisson_model_from_family(fam, lt, initial=tuple(rng.uniform(0.0, 2.0, n)))
+            horizon = int(rng.integers(0, 120))
+            sol = solve_malthusian(fam)
+            traj = evolve_means(model, fam, horizon, sol)
+
+            theta, x0 = sol.theta, model.initial_mean_vector()
+            raw = np.zeros((horizon + 1, 3, n))
+            wtd = np.zeros_like(raw)
+            raw[0, 0] = wtd[0, 0] = x0
+            for s in range(horizon + 1):
+                raw[s, 1] = x0 * lt.survival(s)
+                wtd[s, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
+            for s in range(min(fam.max_delay, horizon) + 1):
+                raw[s, 2] = x0 * lt.prob(0)
+                wtd[s, 2] = _scaled(x0, lt.prob(0), -theta * s)
+            _renew(fam, raw)
+            _renew(fam, wtd, theta=theta)
+            for k, name in enumerate("xzy"):
+                assert np.array_equal(getattr(traj, "e" + name), raw[:, k])
+                assert np.array_equal(getattr(traj, "w" + name), wtd[:, k])
+
     def test_overflow_guard(self):
         fam = MeanMatrixFamily((1,), (np.array([[10.0]]),))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))

@@ -9,6 +9,7 @@ from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
                        evolve_means, extinction_consistency, simulate_replica)
 from delayedbp.simulate import (BLOCK_BYTES, _multinomial, _poisson, block_rows,
                                 replica_blocks, simulate_block, summarize)
+from delayedbp import simulate as sim_mod
 from conftest import make_fibonacci_model
 
 
@@ -166,6 +167,28 @@ class TestBlocks:
             rows = block_rows(horizon, n)
             assert rows >= 1
             assert rows == 1 or rows * 8 * n * 6 * (horizon + 2) <= BLOCK_BYTES
+
+    def test_block_rows_counts_pmf_split(self):
+        # n = 50 types, 3 delays, pmfs over 20 offspring values: the split of
+        # one step's offspring holds 3 * 50 * 50 * 20 int64 per row
+        horizon, n, split = 10, 50, 3 * 50 * 50 * 20
+        rows = block_rows(horizon, n, split)
+        assert rows >= 1
+        assert rows == 1 or rows * (8 * n * 6 * (horizon + 2) + 8 * split) <= BLOCK_BYTES
+        assert rows < block_rows(horizon, n)
+
+    def test_replica_blocks_size_pmf_blocks_by_split(self, monkeypatch):
+        pmfs = {d: [[[0.6, 0.3, 0.1], [0.8, 0.2]], [[0.9, 0.1], [0.5, 0.3, 0.2]]]
+                for d in (1, 2)}
+        model = ModelSpec(type_names=("a", "b"), delay_family=DelayFamily((1, 2)),
+                          offspring=OffspringLaw(kind="pmf", pmfs=pmfs),
+                          lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5)), initial=(1, 1))
+        seen = []
+        real = sim_mod.block_rows
+        monkeypatch.setattr(sim_mod, "block_rows",
+                            lambda *args: seen.append(args) or real(*args))
+        assert sum(len(b.x) for b in replica_blocks(model, 5, 3, 1)) == 3
+        assert seen == [(5, 2, 2 * 2 * 2 * 3)]
 
     def test_ensemble_is_concatenation_of_blocks(self):
         model = subcritical_model()
