@@ -239,31 +239,22 @@ def _write(text: str, out: str | None):
 _CSV_CHUNK = 1024  # rows formatted and written at a time
 
 
-def _write_csv(out: str | None, header, parts, cell: str = "%.17g"):
+def _write_csv(out: str | None, header, row: str, parts):
     """Stream a CSV to ``out``: the header, then for each (keys, values) part
-    one row per key, the key's cells followed by the matching row of the
-    (rows, cols) array ``values``, each formatted with ``cell``.
+    one row per key, ``row`` %-formatted with the key's cells followed by
+    the matching row of the (rows, cols) array ``values``.
 
-    Rows are formatted with one %-format each and written a chunk at a time,
-    so the whole text is never held.  A NaN value is an empty cell; key cells
-    are written as they are.
+    Rows are written a chunk at a time, so the whole text is never held.
     """
+    row += "\n"
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
         for keys, values in parts:
             keys = iter(keys)
-            n_keys = len(header) - values.shape[1]
-            fmt = ",".join(["%s"] * n_keys + [cell] * values.shape[1]) + "\n"
             for start in range(0, len(values), _CSV_CHUNK):
-                chunk = values[start:start + _CSV_CHUNK]
-                rows = zip(chunk.tolist(), keys)  # rows first: zip stops before a key
-                if chunk.dtype.kind == "f" and np.isnan(chunk).any():
-                    lines = [",".join([*map(str, key), *("" if v != v else cell % v
-                                                         for v in row)]) + "\n"
-                             for row, key in rows]
-                else:
-                    lines = [fmt % (*key, *row) for row, key in rows]
-                fh.write("".join(lines))
+                # rows first: zip stops before taking a key past the chunk
+                rows = zip(values[start:start + _CSV_CHUNK].tolist(), keys)
+                fh.write("".join([row % (*key, *cells) for cells, key in rows]))
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -332,7 +323,7 @@ def _cmd_evolve(args) -> int:
     values = np.stack((traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy), axis=-1)
     keys = itertools.product(range(args.horizon + 1), model.type_names)
     _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"),
-               [(keys, values.reshape(-1, 6))])
+               "%s,%s" + ",%.17g" * 6, [(keys, values.reshape(-1, 6))])
     return 0
 
 
@@ -414,16 +405,18 @@ def _cmd_simulate(args) -> int:
     if stats.truncated:
         sys.stderr.write(f"warning: {stats.truncated} of {args.replicas} replicas truncated "
                          f"at pop_cap {args.pop_cap}; excluded from the statistics\n")
-    # one replica has no standard errors: NaN columns, written as empty cells
-    cols = (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z, stats.mean_y, stats.se_y)
-    values = np.stack([np.full_like(stats.mean_x, np.nan) if c is None else c for c in cols],
-                      axis=-1)
     keys = itertools.product(range(args.horizon + 1), model.type_names)
+    if stats.se_x is None:  # one replica has no standard errors: empty cells
+        cols, row = (stats.mean_x, stats.mean_z, stats.mean_y), "%s,%s,%.17g,,%.17g,,%.17g,"
+    else:
+        cols = (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z, stats.mean_y, stats.se_y)
+        row = "%s,%s" + ",%.17g" * 6
+    values = np.stack(cols, axis=-1)
     _write_csv(args.out, ("s", "type", "mean_x", "se_x", "mean_z", "se_z", "mean_y", "se_y"),
-               [(keys, values.reshape(-1, 6))])
+               row, [(keys, values.reshape(-1, len(cols)))])
     if args.dump is not None:
-        _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"),
-                   _dump_parts(blocks, args.horizon, model.type_names), cell="%d")
+        _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"), "%s,%s,%s,%d,%d,%d",
+                   _dump_parts(blocks, args.horizon, model.type_names))
     return 0
 
 

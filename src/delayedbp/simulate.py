@@ -282,10 +282,10 @@ def ensemble(model, horizon: int, replicas: int, seed,
 def replica_blocks(model, horizon: int, replicas: int, seed,
                    pop_cap: int = DEFAULT_POP_CAP):
     """Yield the blocks holding replicas 0..replicas-1, block b keyed (seed, b)."""
-    off = model.offspring
-    split = 0 if off.kind == "poisson" else _pmf_array(
-        [off.pmfs[d] for d in model.delay_family.delays]).size
-    rows = block_rows(horizon, model.n_types, split)
+    off, delays, n = model.offspring, model.delay_family.delays, model.n_types
+    split = 0 if off.kind == "poisson" else len(delays) * n * n * max(
+        len(cell) for d in delays for row in off.pmfs[d] for cell in row)
+    rows = block_rows(horizon, n, split)
     for b, first in enumerate(range(0, replicas, rows)):
         yield simulate_block(model, horizon, (seed, b), min(rows, replicas - first), pop_cap)
 
