@@ -279,8 +279,8 @@ def _cmd_validate(args) -> int:
 def _cmd_spectral(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
-    pf = spec_mod.family_pf(family, args.tol)
-    shared = spec_mod.shared_pf_check(family)
+    shared = spec_mod.shared_pf_check(family, pf_tol=args.tol)
+    pf = shared.pf
     doc = {
         "per_delay": {
             str(d): {"rho": pf[d].rho, "h": pf[d].h, "nu": pf[d].nu,

@@ -1,12 +1,15 @@
 """Malthusian growth rate of the delayed process and its companion encoding.
 
 The growth rate theta = log(rho_hat) is pinned down by requiring the P-F
-eigenvalue of sum_d rho_hat^{-d} M_d to equal one.  The same rho_hat is the
-P-F eigenvalue of a companion matrix on the enlarged type space
-{1..D} x types, which turns the delayed process into an ordinary multi-type
-branching process; the two routes are computed independently and their
-agreement is reported as a residual.  In the critical case the companion
-encoding also yields the finite limit of the mean incidence.
+eigenvalue of the mixture sum_d rho_hat^{-d} M_d to equal one.  The same
+rho_hat is the P-F eigenvalue of a companion matrix on the enlarged type
+space {1..D} x types, which turns the delayed process into an ordinary
+multi-type branching process.  The companion's P-F vectors are closed forms
+in the mixture's pair (h, nu) at the root, so no D*n matrix is needed: the
+left vector nu_c(d) = rho_hat^{-(d-1)} nu gives a Collatz-Wielandt bound on
+|rho_hat - r(companion)|, reported as ``companion_residual``, and in the
+critical case both vectors yield the finite limit of the mean incidence.
+The dense companion (``build_companion``) is kept as an oracle for tests.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailureError, NotCriticalError
-from .spectral import (SHARING_TOL, PFData, family_pf, matrix_inf_norm,
-                       pf_decompose, pf_deviation)
+from .spectral import PFData, family_pf, matrix_inf_norm, pf_decompose
 
 RHO_MIN = 1e-9
 RHO_MAX = 1e9
@@ -53,12 +55,22 @@ def _log_growth(family, rho: float, tol: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MalthusianSolution:
+    """The root rho_hat = exp(theta) and the P-F pair (h, nu) of the mixture
+    at the root, normalized nu'1 = 1 and nu'h = 1.
+
+    ``companion_residual`` is a certified bound on |rho_hat - r(C)| for the
+    companion matrix C, from the Collatz-Wielandt bounds at C's closed-form
+    left vector; it is not a second eigenvalue solve.
+    """
+
     rho_hat: float
     theta: float
     beta: dict[int, float]
     mu_beta: float
     regime: str  # "supercritical" | "critical" | "subcritical"
     companion_residual: float
+    h: np.ndarray = field(repr=False)
+    nu: np.ndarray = field(repr=False)
     warnings: tuple[str, ...] = ()
 
 
@@ -111,7 +123,9 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
 
     The step distribution beta_d = rho_d * exp(-theta*d) sums to one exactly
     when the family shares P-F eigenvectors; otherwise a warning is attached
-    rather than renormalizing.
+    rather than renormalizing.  The regime follows theta alone, critical
+    when |theta| <= ``crit_tol``.  One last P-F solve of the mixture at the
+    root gives (h, nu) and the companion certificate.
     """
     pf = family_pf(family, tol)
     rho_d = {d: pf[d].rho for d in family.delays}
@@ -179,25 +193,15 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
             f"step weights sum to {sum_beta!r}, not 1: the family does not "
             "share P-F eigenvectors and beta is not a probability vector")
 
-    # sharing is cheap to detect here since per-delay P-F data is in hand
-    if pf_deviation(pf) <= SHARING_TOL:
-        total = math.fsum(rho_d.values())
-        if abs(total - 1.0) <= crit_tol:
-            regime = "critical"
-        elif total > 1.0:
-            regime = "supercritical"
-        else:
-            regime = "subcritical"
-    else:
-        if abs(theta) <= crit_tol:
-            regime = "critical"
-        elif theta > 0:
-            regime = "supercritical"
-        else:
-            regime = "subcritical"
+    regime = ("critical" if abs(theta) <= crit_tol
+              else "supercritical" if theta > 0 else "subcritical")
 
-    companion = build_companion(family, tol)
-    residual = abs(rho_hat - companion.pf.rho)
+    # the companion's left vector x(d) = rho_hat^{-(d-1)} nu has ratio
+    # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
+    mix = mixture_matrix(family, rho_hat)
+    pf = pf_decompose(mix, tol)
+    a = (pf.nu @ mix) / pf.nu
+    residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 
     return MalthusianSolution(
         rho_hat=rho_hat,
@@ -206,6 +210,8 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
         mu_beta=mu_beta,
         regime=regime,
         companion_residual=residual,
+        h=pf.h,
+        nu=pf.nu,
         warnings=tuple(warns),
     )
 
@@ -213,10 +219,13 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
 def critical_limit(model, family, crit_tol: float = 1e-9) -> np.ndarray:
     """Finite limit of E[X(s)] in the critical regime.
 
-    The companion state at time 0 collects the first window of mean incidence
-    (entry (d, j) holds E[X_j(D - d)]); projecting its product with the
-    companion right eigenvector onto nu-hat and restricting to the (D, .)
-    block gives the limit vector.
+    The companion process at time D - 1 holds the first window of mean
+    incidence, z(e) = E[X(D - e)] at age e.  It tends to (z'h_c / nu_c'h_c)
+    nu_c, whose age-D block is the limit, with the companion's P-F vectors
+    in closed form in the mixture's pair: nu_c(e) = rho_hat^{-(e-1)} nu and
+    h_c(e) = sum_{d >= e} rho_hat^{-(d-e+1)} M_d h.  Grouped by delay,
+    z'h_c = sum_d sum_{e <= d} rho_hat^{-(d-e+1)} z(e)' M_d h and
+    nu_c'h_c = sum_d d rho_hat^{-d} nu' M_d h.
     """
     from .recursion import evolve_means
 
@@ -224,12 +233,12 @@ def critical_limit(model, family, crit_tol: float = 1e-9) -> np.ndarray:
     if abs(mal.theta) > crit_tol:
         raise NotCriticalError(mal.theta)
 
-    comp = build_companion(family)
-    n = family.n_types
     D = family.max_delay
-    traj = evolve_means(model, family, horizon=D - 1, mal=mal)
-    zhat0 = np.zeros(D * n)
-    for d in range(1, D + 1):
-        zhat0[(d - 1) * n:d * n] = traj.ex[D - d]
-    scale = float(zhat0 @ comp.pf.h)
-    return scale * comp.pf.nu[(D - 1) * n:]
+    ex = evolve_means(model, family, horizon=D - 1, mal=mal).ex
+    num = den = 0.0
+    for d, mat in family.items():
+        ages = np.arange(1, d + 1)
+        mh = mat @ mal.h
+        num += float(np.exp(-mal.theta * (d + 1 - ages)) @ ex[D - ages] @ mh)
+        den += d * math.exp(-mal.theta * d) * float(mal.nu @ mh)
+    return num / den * math.exp(-mal.theta * (D - 1)) * mal.nu

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -309,6 +310,26 @@ class ModelSpec:
     @property
     def n_types(self) -> int:
         return len(self.type_names)
+
+    @cached_property
+    def offspring_table(self) -> np.ndarray:
+        """The offspring laws of the model's delays as one read-only array,
+        built once: Poisson means as (delays, n, n), or pmfs as (delays, n,
+        n, K), padded with zeros to the longest pmf and normalized along the
+        last axis."""
+        off, delays = self.offspring, self.delay_family.delays
+        if off.kind == "poisson":
+            table = np.array([off.means[d] for d in delays])
+        else:
+            K = max(len(cell) for d in delays for row in off.pmfs[d] for cell in row)
+            table = np.zeros((len(delays), self.n_types, self.n_types, K))
+            for g, d in enumerate(delays):
+                for i, row in enumerate(off.pmfs[d]):
+                    for j, cell in enumerate(row):
+                        table[g, i, j, :len(cell)] = cell
+            table /= table.sum(axis=-1, keepdims=True)
+        table.setflags(write=False)
+        return table
 
     def initial_mean_vector(self) -> np.ndarray:
         """E[X(0)] as a row vector."""

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDenominatorError, HorizonTooLargeError, NotSharedError
-from .malthusian import MalthusianSolution, mixture_matrix, solve_malthusian
-from .spectral import pf_decompose, shared_pf_check
+from .malthusian import MalthusianSolution, solve_malthusian
+from .spectral import shared_pf_check
 
 OVERFLOW_LIMIT = 1e300
 
@@ -227,16 +227,16 @@ def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarr
 def stationary_check(family, mal: MalthusianSolution) -> float:
     """Residual of the stationary type profile under the mean evolution.
 
-    Seeds the first window with nu' rho_hat^(s-D), where nu is the left P-F
-    eigenvector of the mixture matrix at rho_hat, evolves one further window
+    Seeds the first window with nu' rho_hat^(s-D), where nu = ``mal.nu`` is
+    the left P-F eigenvector of the mixture matrix at rho_hat, evolves one
+    further window
     and returns the worst infinity-norm deviation of the type proportions
     from nu.  For families sharing P-F eigenvectors this is zero up to
     rounding.  Centering the powers on s = D keeps every entry within
     rho_hat^(+-D), inside the overflow guard for any bracketed rho_hat
     when D <= 33.
     """
-    rho = mal.rho_hat
-    nu = pf_decompose(mixture_matrix(family, rho)).nu
+    rho, nu = mal.rho_hat, mal.nu
     D = family.max_delay
     window = np.zeros((2 * D + 1, family.n_types))
     window[:D] = [nu * rho ** (s - D) for s in range(D)]

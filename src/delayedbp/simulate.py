@@ -148,11 +148,7 @@ def simulate_block(model, horizon: int, seed, rows: int,
     # deaths at ages past min(D, S) can never censor in-horizon births
     death = death[1:min(D, S) + 1]
     dies = death.any()
-    off = model.offspring
-    if off.kind == "poisson":
-        law = np.array([off.means[d] for d in delays])
-    else:
-        law = _pmf_array([off.pmfs[d] for d in delays])
+    kind, law = model.offspring.kind, model.offspring_table
 
     rng = Generator(Philox(SeedSequence(seed)))
     counts = np.zeros((rows, 3, S + 1, model.n_types), dtype=np.int64)
@@ -181,7 +177,7 @@ def simulate_block(model, horizon: int, seed, rows: int,
                     alive = alive - dead[..., [d - 1 for d in delays[:m]]].transpose(0, 2, 1)
                 if total > pop_cap:  # truncated rows produce no more offspring
                     alive = alive * (x.sum(axis=(1, 2)) <= pop_cap)[:, None, None]
-                born = _draw_births(rng, off.kind, law[:m], alive)
+                born = _draw_births(rng, kind, law[:m], alive)
                 for j, d in enumerate(delays[:m]):
                     x[:, t + d] += born[:, j]
                 total += int(born.sum())
@@ -195,20 +191,6 @@ def simulate_block(model, horizon: int, seed, rows: int,
         y[:, D + 1:] -= y[:, :S - D].copy()
     return ReplicaBlock(max_delay=D, counts=counts,
                         truncated=x.sum(axis=(1, 2)) > pop_cap)
-
-
-def _pmf_array(grids) -> np.ndarray:
-    """Offspring pmfs per (delay, parent type, child type) as a (delays, n,
-    n, K) array, padded with zeros to the longest pmf and normalized along
-    the last axis."""
-    n = len(grids[0])
-    K = max(len(cell) for grid in grids for row in grid for cell in row)
-    out = np.zeros((len(grids), n, n, K))
-    for g, grid in enumerate(grids):
-        for i, row in enumerate(grid):
-            for j, cell in enumerate(row):
-                out[g, i, j, :len(cell)] = cell
-    return out / out.sum(axis=-1, keepdims=True)
 
 
 def _multinomial(rng, n: np.ndarray, pvals: np.ndarray) -> np.ndarray:
@@ -282,10 +264,8 @@ def ensemble(model, horizon: int, replicas: int, seed,
 def replica_blocks(model, horizon: int, replicas: int, seed,
                    pop_cap: int = DEFAULT_POP_CAP):
     """Yield the blocks holding replicas 0..replicas-1, block b keyed (seed, b)."""
-    off, delays, n = model.offspring, model.delay_family.delays, model.n_types
-    split = 0 if off.kind == "poisson" else len(delays) * n * n * max(
-        len(cell) for d in delays for row in off.pmfs[d] for cell in row)
-    rows = block_rows(horizon, n, split)
+    split = model.offspring_table.size if model.offspring.kind == "pmf" else 0
+    rows = block_rows(horizon, model.n_types, split)
     for b, first in enumerate(range(0, replicas, rows)):
         yield simulate_block(model, horizon, (seed, b), min(rows, replicas - first), pop_cap)
 

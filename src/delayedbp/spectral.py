@@ -143,15 +143,6 @@ def family_pf(family, tol: float = DEFAULT_TOL) -> dict[int, PFData]:
     return {d: pf_decompose(mat, tol) for d, mat in family.items()}
 
 
-def pf_deviation(pf: dict[int, PFData]) -> float:
-    """Worst infinity-norm gap between any delay's h or nu and those of the
-    smallest delay; the family shares P-F eigenvectors when it is small."""
-    base = pf[min(pf)]
-    return max(max(float(np.max(np.abs(p.h - base.h))),
-                   float(np.max(np.abs(p.nu - base.nu))))
-               for p in pf.values())
-
-
 @dataclass(frozen=True)
 class SharedPFReport:
     shared: bool
@@ -160,6 +151,7 @@ class SharedPFReport:
     per_delay_rho: dict[int, float]
     max_deviation: float
     tolerance: float
+    pf: dict[int, PFData] = field(repr=False)  # per delay, solved at pf_tol
 
 
 def shared_pf_check(family, tol: float = SHARING_TOL,
@@ -170,12 +162,13 @@ def shared_pf_check(family, tol: float = SHARING_TOL,
     family is shared when the worst infinity-norm discrepancy among the h_d
     and among the nu_d stays within ``tol``.  The reported common pair is the
     one computed at the smallest delay; no pair is reported when sharing
-    fails.
+    fails.  The per-delay P-F data behind the test is reported as ``pf``.
     """
     pf = family_pf(family, pf_tol)
     base = family.delays[0]
     h0, nu0 = pf[base].h, pf[base].nu
-    dev = pf_deviation(pf)
+    dev = max(max(float(np.max(np.abs(p.h - h0))), float(np.max(np.abs(p.nu - nu0))))
+              for p in pf.values())
     shared = dev <= tol
     return SharedPFReport(
         shared=shared,
@@ -184,6 +177,7 @@ def shared_pf_check(family, tol: float = SHARING_TOL,
         per_delay_rho={d: pf[d].rho for d in family.delays},
         max_deviation=dev,
         tolerance=tol,
+        pf=pf,
     )
 
 
