@@ -29,28 +29,35 @@ MAX_NEWTON = 100  # safeguarded Newton steps; 3-6 are typical
 NEWTON_STEP_TOL = 1e-9
 
 
+def _scaled_terms(family, t: float) -> tuple[list[tuple[int, np.ndarray]], float]:
+    """The terms (d, exp(-d*t - c) M_d) of the mixture at rho = e^t, scaled
+    by e^{-c} with c = max_d(-d*t + log ||M_d||_inf): the largest term has
+    norm one, so no weight overflows however large d*|t| is."""
+    norms = [(d, mat, matrix_inf_norm(mat)) for d, mat in family.items()]
+    c = max(math.log(nm) - d * t for d, _, nm in norms)
+    return [(d, math.exp(math.log(nm) - d * t - c) * (mat / nm)) for d, mat, nm in norms], c
+
+
 def mixture_matrix(family, rho: float) -> np.ndarray:
-    """sum_d rho^{-d} M_d."""
-    n = family.n_types
-    out = np.zeros((n, n))
-    for d, mat in family.items():
-        out += rho ** (-d) * mat
-    return out
+    """sum_d rho^{-d} M_d, summed from the scaled terms."""
+    terms, c = _scaled_terms(family, math.log(rho))
+    return math.exp(c) * sum(mat for _, mat in terms)
 
 
-def _log_growth(family, rho: float, tol: float) -> tuple[float, float]:
-    """g = log of the P-F eigenvalue lambda of sum_d rho^{-d} M_d, and its
-    derivative in t = log(rho).
+def _log_growth(family, t: float, tol: float) -> tuple[float, float]:
+    """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, and its
+    derivative in t, from the scaled terms: log lambda = log lambda_c + c.
 
     First-order P-F perturbation (nu'h = 1) gives
-    d lambda/dt = nu' (sum_d -d rho^{-d} M_d) h, so dg/dt is that over lambda.
+    d lambda/dt = nu' (sum_d -d e^{-d t} M_d) h, so dg/dt is that over
+    lambda, and the shift by c cancels in the ratio.
     g is decreasing and convex in t, since the spectral radius of a matrix
     with log-convex entries is log-convex (Kingman, 1961).
     """
-    pf = pf_decompose(mixture_matrix(family, rho), tol)
-    slope = -math.fsum(d * rho ** (-d) * float(pf.nu @ mat @ pf.h)
-                       for d, mat in family.items())
-    return math.log(pf.rho), slope / pf.rho
+    terms, c = _scaled_terms(family, t)
+    pf = pf_decompose(sum(mat for _, mat in terms), tol)
+    slope = -math.fsum(d * float(pf.nu @ mat @ pf.h) for d, mat in terms)
+    return math.log(pf.rho) + c, slope / pf.rho
 
 
 @dataclass(frozen=True)
@@ -91,21 +98,12 @@ class CompanionSystem:
 def build_companion(family, tol: float = 1e-12) -> CompanionSystem:
     """Assemble the companion matrix and its P-F data."""
     n = family.n_types
-    D = family.max_delay
-    N = D * n
-
-    def flat(e, i):
-        return (e - 1) * n + i
-
+    N = family.max_delay * n
     tm = np.zeros((N, N))
-    for d in range(2, D + 1):
-        for j in range(n):
-            tm[flat(d - 1, j), flat(d, j)] = 1.0
+    tm[np.arange(N - n), np.arange(n, N)] = 1.0  # (d - 1, j) -> (d, j)
     for e, mat in family.items():
-        for i in range(n):
-            for j in range(n):
-                tm[flat(e, i), flat(1, j)] = mat[i, j]
-    index = tuple((e, i) for e in range(1, D + 1) for i in range(n))
+        tm[(e - 1) * n:e * n, :n] = mat  # (e, i) -> (1, j)
+    index = tuple((e, i) for e in range(1, family.max_delay + 1) for i in range(n))
     return CompanionSystem(matrix=tm, index=index, pf=pf_decompose(tm, tol))
 
 
@@ -139,22 +137,19 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     lo = min(max(min(lo, hi), RHO_MIN), RHO_MAX)
     hi = min(max(lo, hi), RHO_MAX)
 
-    def growth(rho):
-        return _log_growth(family, rho, tol)
-
     # widen defensively if rounding pushed the analytic bracket off the root
-    g_lo = growth(lo)
+    g_lo = _log_growth(family, math.log(lo), tol)
     for _ in range(MAX_EXPANSIONS):
         if g_lo[0] >= 0.0 or lo <= RHO_MIN:
             break
         lo = max(lo / 2.0, RHO_MIN)
-        g_lo = growth(lo)
-    g_hi = growth(hi)
+        g_lo = _log_growth(family, math.log(lo), tol)
+    g_hi = _log_growth(family, math.log(hi), tol)
     for _ in range(MAX_EXPANSIONS):
         if g_hi[0] <= 0.0 or hi >= RHO_MAX:
             break
         hi = min(hi * 2.0, RHO_MAX)
-        g_hi = growth(hi)
+        g_hi = _log_growth(family, math.log(hi), tol)
     if g_lo[0] < 0.0 or g_hi[0] > 0.0:
         raise BracketFailureError(
             f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
@@ -174,7 +169,7 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
             t += step
         else:
             t = 0.5 * (t_lo + t_hi)
-        g, slope = growth(math.exp(t))
+        g, slope = _log_growth(family, t, tol)
         if g > 0.0:
             t_lo = t
         else:
@@ -198,9 +193,10 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
 
     # the companion's left vector x(d) = rho_hat^{-(d-1)} nu has ratio
     # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
-    mix = mixture_matrix(family, rho_hat)
+    terms, c = _scaled_terms(family, theta)
+    mix = sum(mat for _, mat in terms)
     pf = pf_decompose(mix, tol)
-    a = (pf.nu @ mix) / pf.nu
+    a = math.exp(c) * (pf.nu @ mix) / pf.nu
     residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 
     return MalthusianSolution(

@@ -321,12 +321,11 @@ class ModelSpec:
         if off.kind == "poisson":
             table = np.array([off.means[d] for d in delays])
         else:
-            K = max(len(cell) for d in delays for row in off.pmfs[d] for cell in row)
-            table = np.zeros((len(delays), self.n_types, self.n_types, K))
-            for g, d in enumerate(delays):
-                for i, row in enumerate(off.pmfs[d]):
-                    for j, cell in enumerate(row):
-                        table[g, i, j, :len(cell)] = cell
+            cells = [cell for d in delays for row in off.pmfs[d] for cell in row]
+            table = np.zeros((len(cells), max(map(len, cells))))
+            for k, cell in enumerate(cells):
+                table[k, :len(cell)] = cell
+            table = table.reshape(len(delays), self.n_types, self.n_types, -1)
             table /= table.sum(axis=-1, keepdims=True)
         table.setflags(write=False)
         return table

@@ -229,12 +229,11 @@ def stationary_check(family, mal: MalthusianSolution) -> float:
 
     Seeds the first window with nu' rho_hat^(s-D), where nu = ``mal.nu`` is
     the left P-F eigenvector of the mixture matrix at rho_hat, evolves one
-    further window
-    and returns the worst infinity-norm deviation of the type proportions
-    from nu.  For families sharing P-F eigenvectors this is zero up to
-    rounding.  Centering the powers on s = D keeps every entry within
-    rho_hat^(+-D), inside the overflow guard for any bracketed rho_hat
-    when D <= 33.
+    further window and returns the worst infinity-norm deviation of the type
+    proportions from nu.  For families sharing P-F eigenvectors this is zero
+    up to rounding.  Centering the powers on s = D keeps every entry within
+    rho_hat^(+-D), inside the overflow guard for any bracketed rho_hat when
+    D <= 33.
     """
     rho, nu = mal.rho_hat, mal.nu
     D = family.max_delay

@@ -498,6 +498,88 @@ class TestBlockRunOptions:
         assert capsys.readouterr().err.startswith(f"error:SchemaError: {option}: must lie in")
 
 
+def _typed_or_ok(code, err):
+    """Exit 0, or exit 1 with one line naming a DelayedBPError subclass."""
+    from delayedbp import errors
+
+    if code == 0:
+        return True
+    name = err.split(":")[1] if err.startswith("error:") else ""
+    return (code == 1 and err.count("\n") == 1
+            and issubclass(getattr(errors, name, type(None)), errors.DelayedBPError))
+
+
+class TestLargeDelays:
+    def _config(self, tmp_path, delays, mats):
+        n = len(mats[0])
+        doc = {"types": [f"t{i}" for i in range(n)], "delays": list(delays),
+               "offspring": {"kind": "poisson",
+                             "means": {str(d): m for d, m in zip(delays, mats)}},
+               "lifetime": {"pmf": [0.0, 1.0]}, "initial": 0}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["malthusian"], ["evolve", "--horizon", "50"], ["limits"]])
+    def test_no_traceback_at_delay_3000(self, argv, tmp_path, capsys):
+        # rho ** -3000 passes the double range at the bracket's low end
+        path = self._config(tmp_path, (1, 3000), ([[0.3, 0.2], [0.1, 0.4]],
+                                                  [[0.2, 0.1], [0.3, 0.2]]))
+        code = dispatch([*argv, "--config", path, "--out", str(tmp_path / "out")])
+        assert _typed_or_ok(code, capsys.readouterr().err)
+
+    def test_delay_ten_thousand(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        mats = [rng.uniform(0.2, 1.0, size=(10, 10)) * w / 10 for w in (0.6, 0.5)]
+        path = self._config(tmp_path, (1, 10 ** 4), [m.tolist() for m in mats])
+        assert dispatch(["malthusian", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 0 < doc["companion_residual"] <= 1e-9 * doc["rho_hat"]
+        out = tmp_path / "evolve.csv"
+        assert dispatch(["evolve", "--config", path, "--horizon", "20000",
+                         "--out", str(out)]) == 0
+        with out.open() as fh:
+            assert sum(1 for _ in fh) == 1 + 20001 * 10
+        code = dispatch(["limits", "--config", path])
+        assert _typed_or_ok(code, capsys.readouterr().err)
+
+
+class TestSpectralSolvesOnce:
+    def _shared_config(self, tmp_path):
+        from conftest import make_shared_family, poisson_model_from_family
+        from delayedbp import LifetimeLaw
+
+        fam, _, _, _ = make_shared_family(np.random.default_rng(41), 4, (1, 2, 5), mix=0.3)
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(model_to_config(model)))
+        return str(path)
+
+    def test_one_pf_solve_per_delay(self, tmp_path, capsys, monkeypatch):
+        from delayedbp import spectral as spec_mod
+
+        calls = []
+        real = spec_mod.pf_decompose
+        monkeypatch.setattr(spec_mod, "pf_decompose",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        assert dispatch(["spectral", "--config", self._shared_config(tmp_path)]) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-6"])
+    def test_tol_governs_the_sharing_block(self, tol, tmp_path, capsys):
+        # the sharing block is read off the per-delay P-F data solved at --tol
+        assert dispatch(["spectral", "--config", self._shared_config(tmp_path),
+                         "--tol", tol]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        per_delay, shared = doc["per_delay"], doc["shared"]
+        assert shared["shared"] is True
+        assert shared["h"] == per_delay["1"]["h"]
+        assert shared["nu"] == per_delay["1"]["nu"]
+        dev = max(max(abs(a - b) for a, b in zip(per_delay[d][v], per_delay["1"][v]))
+                  for d in per_delay for v in ("h", "nu"))
+        assert shared["max_deviation"] == dev
+
+
 def test_python_m_runs_the_cli(fib_config):
     import os
     import subprocess

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delayedbp
 from delayedbp import malthusian
+from delayedbp.cli import dispatch, model_to_config
 from delayedbp import (BracketFailureError, LifetimeLaw, MeanMatrixFamily,
                        NotCriticalError, build_companion, critical_limit,
                        evolve_means, mixture_matrix, pf_decompose,
-                       solve_malthusian)
+                       solve_malthusian, stationary_check)
 from conftest import (PHI, make_shared_family, poisson_model_from_family,
                       random_positive_family)
 
@@ -188,3 +191,79 @@ class TestCriticalLimit:
     def test_not_critical(self, fib_model, fib_family):
         with pytest.raises(NotCriticalError):
             critical_limit(fib_model, fib_family)
+
+
+class TestCompanionCertificate:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+           st.sets(st.integers(1, 40), min_size=1, max_size=4),
+           st.booleans(), st.floats(0.2, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_radius_within_bound(self, seed, n, delays, shared, scale):
+        rng = np.random.default_rng(seed)
+        delays = tuple(sorted(delays))
+        if shared:
+            fam, _, _, _ = make_shared_family(rng, n, delays, mix=float(rng.uniform(0.05, 1.0)))
+        else:
+            fam = random_positive_family(rng, n, delays, scale=scale)
+        sol = solve_malthusian(fam)
+        radius = float(np.max(np.abs(np.linalg.eigvals(build_companion(fam).matrix))))
+        assert abs(radius - sol.rho_hat) <= sol.companion_residual + 1e-13 * sol.rho_hat
+        assert sol.companion_residual <= 1e-9 * sol.rho_hat
+
+    def test_pair_is_the_mixture_pf_pair(self):
+        rng = np.random.default_rng(97)
+        fam = random_positive_family(rng, 4, (1, 3, 7))
+        sol = solve_malthusian(fam)
+        mix = mixture_matrix(fam, sol.rho_hat)
+        assert np.max(np.abs(mix @ sol.h - sol.h)) <= 1e-12
+        assert np.max(np.abs(sol.nu @ mix - sol.nu)) <= 1e-12
+        assert sol.nu.sum() == pytest.approx(1.0, abs=1e-15)
+        assert sol.nu @ sol.h == pytest.approx(1.0, abs=1e-14)
+
+    def test_no_dense_companion_on_the_solve_path(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense companion was built")
+
+        monkeypatch.setattr(malthusian, "build_companion", refuse)
+        monkeypatch.setattr(delayedbp, "build_companion", refuse)
+        rng = np.random.default_rng(101)
+        fam = random_positive_family(rng, 3, (1, 4))
+        stationary_check(fam, solve_malthusian(fam))
+        half = MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
+        critical_limit(poisson_model_from_family(half, LifetimeLaw(pmf=(0.0, 1.0))), half)
+
+        fam, _, _, _ = make_shared_family(rng, 3, (1, 2, 5))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(model_to_config(model)))
+        for argv in (["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "30"],
+                     ["limits"], ["paths", "--s", "5", "--samples", "50", "--seed", "1"],
+                     ["simulate", "--horizon", "5", "--replicas", "3", "--seed", "1"]):
+            assert dispatch([*argv, "--config", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+
+
+def _dense_critical_limit(model, fam):
+    """The critical limit from the dense companion's P-F pair."""
+    comp = build_companion(fam)
+    n, D = fam.n_types, fam.max_delay
+    ex = evolve_means(model, fam, D - 1).ex
+    zhat0 = np.concatenate([ex[D - d] for d in range(1, D + 1)])
+    return float(zhat0 @ comp.pf.h) * comp.pf.nu[(D - 1) * n:]
+
+
+def _critical_families():
+    rng = np.random.default_rng(83)
+    yield MeanMatrixFamily((1,), (np.array([[1.0]]),))
+    yield MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
+    yield make_shared_family(rng, 2, (1, 2), rho_values=(0.4, 0.6))[0]
+    yield make_shared_family(rng, 2, (1, 2), rho_values=(0.5, 0.5), mix=0.6)[0]
+    yield make_shared_family(rng, 3, (2, 3, 7), rho_values=(0.2, 0.3, 0.5))[0]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_critical_limit_matches_dense_companion(k):
+    fam = list(_critical_families())[k]
+    model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+    limit = critical_limit(model, fam)
+    assert np.max(np.abs(limit - _dense_critical_limit(model, fam))) <= 1e-12

@@ -190,6 +190,30 @@ class TestBlocks:
         assert sum(len(b.x) for b in replica_blocks(model, 5, 3, 1)) == 3
         assert seen == [(5, 2, 2 * 2 * 2 * 3)]
 
+    def test_offspring_table_built_once_per_ensemble(self, monkeypatch):
+        import functools
+
+        pmfs = {d: [[[0.6, 0.3, 0.1], [0.8, 0.2]], [[0.9, 0.1], [0.5, 0.3, 0.2]]]
+                for d in (1, 3)}
+        model = ModelSpec(type_names=("a", "b"), delay_family=DelayFamily((1, 3)),
+                          offspring=OffspringLaw(kind="pmf", pmfs=pmfs),
+                          lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5)), initial=(2, 1))
+        builds = []
+        real = ModelSpec.offspring_table.func
+        counted = functools.cached_property(lambda self: builds.append(1) or real(self))
+        counted.__set_name__(ModelSpec, "offspring_table")
+        monkeypatch.setattr(ModelSpec, "offspring_table", counted)
+        monkeypatch.setattr(sim_mod, "block_rows", lambda *args: 2)
+        blocks = list(replica_blocks(model, 8, 7, 3))
+        assert len(blocks) == 4 and len(builds) == 1
+        table = model.offspring_table
+        assert table.shape == (2, 2, 2, 3) and not table.flags.writeable
+        for g, d in enumerate((1, 3)):
+            for i in range(2):
+                for j in range(2):
+                    cell = np.array([*pmfs[d][i][j], 0.0, 0.0][:3])
+                    assert table[g, i, j].tolist() == (cell / cell.sum()).tolist()
+
     def test_ensemble_is_concatenation_of_blocks(self):
         model = subcritical_model()
         horizon, replicas = 4000, 100
