@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delayedbp import DuplicateDelayError, SchemaError
+from delayedbp import DuplicateDelayError, LifetimeLaw, SchemaError, errors
 from delayedbp import simulate as sim_mod
+from delayedbp import spectral as spec_mod
 from delayedbp.cli import dispatch, emit_json, model_to_config, parse_config
-from conftest import PHI
+from conftest import PHI, make_shared_family, poisson_model_from_family
 
 FIB_CONFIG = {
     "types": ["a"],
@@ -500,8 +501,6 @@ class TestBlockRunOptions:
 
 def _typed_or_ok(code, err):
     """Exit 0, or exit 1 with one line naming a DelayedBPError subclass."""
-    from delayedbp import errors
-
     if code == 0:
         return True
     name = err.split(":")[1] if err.startswith("error:") else ""
@@ -546,9 +545,6 @@ class TestLargeDelays:
 
 class TestSpectralSolvesOnce:
     def _shared_config(self, tmp_path):
-        from conftest import make_shared_family, poisson_model_from_family
-        from delayedbp import LifetimeLaw
-
         fam, _, _, _ = make_shared_family(np.random.default_rng(41), 4, (1, 2, 5), mix=0.3)
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
         path = tmp_path / "shared.json"
@@ -556,8 +552,6 @@ class TestSpectralSolvesOnce:
         return str(path)
 
     def test_one_pf_solve_per_delay(self, tmp_path, capsys, monkeypatch):
-        from delayedbp import spectral as spec_mod
-
         calls = []
         real = spec_mod.pf_decompose
         monkeypatch.setattr(spec_mod, "pf_decompose",

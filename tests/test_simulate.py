@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -191,8 +192,6 @@ class TestBlocks:
         assert seen == [(5, 2, 2 * 2 * 2 * 3)]
 
     def test_offspring_table_built_once_per_ensemble(self, monkeypatch):
-        import functools
-
         pmfs = {d: [[[0.6, 0.3, 0.1], [0.8, 0.2]], [[0.9, 0.1], [0.5, 0.3, 0.2]]]
                 for d in (1, 3)}
         model = ModelSpec(type_names=("a", "b"), delay_family=DelayFamily((1, 3)),
