@@ -374,7 +374,7 @@ def _cmd_paths(args) -> int:
     if args.upsilon is not None:
         block = {}
         for k in classes:
-            if k.r <= (1 << args.upsilon):
+            if not paths_mod.longer_than_block(k.r, args.upsilon):
                 continue
             words = paths_mod.enumerate_words(k)
             passing = sum(1 for w in words

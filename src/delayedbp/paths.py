@@ -9,7 +9,11 @@ block statistics here make that effect measurable at small s.
 
 Two independent evaluations of the kernel live here as test oracles: full
 path enumeration (exponential cost, capped) and a Monte Carlo estimator that
-draws path steps i.i.d. from the step distribution beta.
+draws path steps i.i.d. from the step distribution beta.  Both multiply out
+their words through one kernel, ``_add_word_products``: words go in chunks
+of bounded size, each distinct prefix in a chunk is multiplied out once, and
+the products are summed in word order, so every sum is the one a per-word
+loop of matmuls gives, bit for bit, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ ENUMERATION_S_CAP = 64
 KERNEL_S_CAP = 12
 WORD_CAP = 10 ** 6
 SAMPLING_BLOCK = 1 << 16
+PRODUCT_CHUNK = 1 << 17  # doubles of word products held at once
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,10 @@ def enumerate_words(k: StepCountVector, cap: int = WORD_CAP) -> list[PathWord]:
         raise CapExceededError(f"class holds {size} words, cap is {cap}")
     out: list[PathWord] = []
     counts = list(k.counts)
+    r = k.r
 
     def rec(prefix):
-        if len(prefix) == k.r:
+        if len(prefix) == r:
             out.append(tuple(prefix))
             return
         for idx, d in enumerate(k.delays):
@@ -169,6 +175,12 @@ def check_block_run_params(delays, alpha: float, delta: float, prefix: str = "")
         raise SchemaError(f"{prefix}delta", f"must lie in (0, 1/2), got {delta!r}")
 
 
+def longer_than_block(r: int, upsilon: int) -> bool:
+    """r > 2^upsilon, decided without building 2^upsilon: once upsilon
+    reaches the bit length of r, 2^upsilon already exceeds r."""
+    return r > 1 << min(upsilon, r.bit_length())
+
+
 def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) -> bool:
     """Aligned-block run test behind the run-frequency lower bound.
 
@@ -181,9 +193,9 @@ def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) 
         raise ValueError("upsilon must be >= 1")
     check_block_run_params(delays, alpha, delta)
     r = len(word)
+    if not longer_than_block(r, upsilon):
+        raise ValueError(f"word length {r} must exceed 2^upsilon = 2^{upsilon}")
     block = 1 << upsilon
-    if r <= block:
-        raise ValueError(f"word length {r} must exceed 2^upsilon = {block}")
     beta = alpha
     for _ in range(upsilon):
         beta = beta * (1.0 - beta)
@@ -200,6 +212,71 @@ def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) 
     return False
 
 
+def _product_chunk(norm: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Normalized product of every row of ``words``, shape (rows, n, n).
+
+    ``norm`` stacks rho_d^{-1} M_d by delay index; a word holds symbols
+    index + 1, padded with 0 once it has ended.  Each distinct prefix is
+    multiplied out once: at position j the rows are re-keyed as
+    prefix id * (D + 1) + symbol, and every new prefix extends its parent by
+    one matmul per delay.  A row's product is the same left-to-right chain
+    I @ N_1 @ N_2 ... however the rows are grouped.
+    """
+    n = norm.shape[1]
+    base = len(norm) + 1
+    prods = np.eye(n)[None]
+    ids = np.zeros(len(words), dtype=np.int64)
+    for column in words.T:
+        if not column.any():  # every word has ended
+            break
+        keys, ids = np.unique(ids * base + column, return_inverse=True)
+        parent, sym = np.divmod(keys, base)
+        nxt = np.empty((len(keys), n, n))
+        for k in range(base):
+            sel = np.flatnonzero(sym == k)
+            if k == 0:
+                nxt[sel] = prods[parent[sel]]
+            elif len(sel):
+                nxt[sel] = (prods[parent[sel]].reshape(-1, n) @ norm[k - 1]).reshape(-1, n, n)
+        prods = nxt
+    return prods[ids]
+
+
+def _add_word_products(norm: np.ndarray, words: np.ndarray, sums: np.ndarray,
+                       sq_sums: np.ndarray | None = None, owner: np.ndarray | None = None) -> None:
+    """In place: add the normalized product of each row of ``words`` to
+    ``sums[owner[row]]`` (and its elementwise square to ``sq_sums[owner[row]]``),
+    one row at a time in row order.  ``owner`` is nondecreasing; by default
+    every row goes to ``sums[0]``.
+
+    Rows go in chunks of at most ``PRODUCT_CHUNK`` doubles of products.  A
+    running total is folded into the first row of its run in a chunk before
+    the run's axis-0 sum, which adds rows in order, so the result is the
+    same for any chunking.
+    """
+    n = norm.shape[1]
+    rows = max(1, PRODUCT_CHUNK // (n * n))
+    if owner is None:
+        owner = np.zeros(len(words), dtype=np.intp)
+    for lo in range(0, len(words), rows):
+        prods = _product_chunk(norm, words[lo:lo + rows])
+        own = owner[lo:lo + rows]
+        cuts = [0, *(np.flatnonzero(own[1:] != own[:-1]) + 1), len(own)]
+        for a, b in zip(cuts, cuts[1:]):
+            run = prods[a:b]
+            if sq_sums is not None:
+                sq = run * run
+                sq[0] += sq_sums[own[a]]
+                sq.sum(axis=0, out=sq_sums[own[a]])
+            run[0] += sums[own[a]]
+            run.sum(axis=0, out=sums[own[a]])
+
+
+def _normalized_stack(family, pf) -> np.ndarray:
+    """rho_d^{-1} M_d stacked in delay order, shape (D, n, n)."""
+    return np.stack([family.matrix(d) / pf[d].rho for d in family.delays])
+
+
 def xi_by_enumeration(family, s: int, cap: int = KERNEL_S_CAP):
     """Kernel at time s by summing matrix products over every backward path.
 
@@ -212,26 +289,39 @@ def xi_by_enumeration(family, s: int, cap: int = KERNEL_S_CAP):
         raise CapExceededError(f"enumeration kernel capped at s <= {cap}, got {s}")
     n = family.n_types
     pf = family_pf(family)
-    norm = {d: family.matrix(d) / pf[d].rho for d in family.delays}
     per_r: dict[int, np.ndarray] = {}
     if s == 0:
         per_r[0] = np.eye(n)
         return np.eye(n), per_r
-    for k in enumerate_lambda(family.delays, s):
+    # every word of every class in one pass, padded with 0 past its end
+    classes = enumerate_lambda(family.delays, s)
+    words = [enumerate_words(k) for k in classes]
+    sym = np.zeros((sum(map(len, words)), s), dtype=np.intp)
+    row = 0
+    for k, ws in zip(classes, words):
+        sym[row:row + len(ws), :k.r] = np.searchsorted(family.delays, ws) + 1
+        row += len(ws)
+    acc = np.zeros((len(classes), n, n))
+    _add_word_products(_normalized_stack(family, pf), sym, acc,
+                       owner=np.repeat(np.arange(len(classes)), list(map(len, words))))
+    for k, part in zip(classes, acc):
         coeff = 1.0
         for d, c in zip(k.delays, k.counts):
             coeff *= pf[d].rho ** c
-        acc = np.zeros((n, n))
-        for word in enumerate_words(k):
-            prod = np.eye(n)
-            for d in word:
-                prod = prod @ norm[d]
-            acc += prod
-        per_r[k.r] = per_r.get(k.r, np.zeros((n, n))) + coeff * acc
+        per_r[k.r] = per_r.get(k.r, np.zeros((n, n))) + coeff * part
     total = np.zeros((n, n))
     for mat in per_r.values():
         total += mat
     return total, per_r
+
+
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Number of entries of ``cdf`` at or below each u, the index
+    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u)."""
+    idx = np.zeros(u.shape, dtype=np.intp)
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
 
 
 @dataclass(frozen=True)
@@ -247,11 +337,15 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     Steps are drawn i.i.d. from beta until the running total reaches s; a
     sample contributes the normalized matrix product along its path when the
     total hits s exactly, and zero otherwise.  The average, scaled by
-    exp(theta*s), is an unbiased estimator of Xi(s).
+    exp(theta*s), is an unbiased estimator of Xi(s).  The normalizing
+    rho_d come from ``mal.pf``.
 
-    Samples are assigned to fixed 2^16-sample blocks, each with its own
-    counter-based substream keyed by (seed, block), so the result does not
-    depend on how blocks are scheduled across workers.
+    Samples are assigned to fixed 2^16-sample blocks.  Block b, holding m
+    samples, draws m * s uniforms, row-major, from
+    ``Philox(SeedSequence((seed, b)))`` and maps each through the inverse CDF
+    of beta (the draw ``Generator.choice`` makes), so the result does not
+    depend on how blocks are scheduled across workers.  Products are summed
+    in sample order, so it does not depend on the chunking either.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -264,36 +358,28 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
 
     delays = np.array(family.delays)
     probs = np.array([mal.beta[d] for d in family.delays])
-    probs = probs / probs.sum()
-    pf = family_pf(family)
-    norm = {d: family.matrix(d) / pf[d].rho for d in family.delays}
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    norm = _normalized_stack(family, mal.pf) if n > 1 else None
 
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))
-    done = 0
-    block_idx = 0
-    single_type = n == 1
-    while done < n_samples:
-        b = min(SAMPLING_BLOCK, n_samples - done)
-        rng = Generator(Philox(SeedSequence((seed, block_idx))))
-        steps = rng.choice(delays, size=(b, s), p=probs)
-        csum = np.cumsum(steps, axis=1)
-        stop = (csum >= s).argmax(axis=1)
-        hit = csum[np.arange(b), stop] == s
-        if single_type:
+    for block_idx, lo in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
+        b = min(SAMPLING_BLOCK, n_samples - lo)
+        idx = _inverse_cdf(Generator(Philox(SeedSequence((seed, block_idx)))).random((b, s)), cdf)
+        # partial sums rise strictly, so a row hits s at most once
+        csum = delays[idx]
+        at_s = np.cumsum(csum, axis=1, out=csum) == s
+        if norm is None:
             # normalized 1x1 products are identically 1
-            vals = hit.astype(float)
-            sums[0, 0] += vals.sum()
-            sq_sums[0, 0] += vals.sum()  # vals are 0/1
+            hits = np.count_nonzero(at_s)
+            sums[0, 0] += hits
+            sq_sums[0, 0] += hits
         else:
-            for row in np.flatnonzero(hit):
-                prod = np.eye(n)
-                for d in steps[row, :stop[row] + 1]:
-                    prod = prod @ norm[d]
-                sums += prod
-                sq_sums += prod * prod
-        done += b
-        block_idx += 1
+            # each hit word's symbols up to its last step, 0 after it
+            rows, last = np.divmod(np.flatnonzero(at_s), s)
+            words = np.where(np.arange(s) <= last[:, None], idx[rows] + 1, 0)
+            _add_word_products(norm, words, sums[None], sq_sums[None])
 
     scale = math.exp(mal.theta * s)
     mean = sums / n_samples

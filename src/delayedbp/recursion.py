@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, HorizonTooLargeError, NotSharedError
 from .malthusian import MalthusianSolution, solve_malthusian
-from .spectral import shared_pf_check
+from .spectral import sharing_report
 
 OVERFLOW_LIMIT = 1e300
 
@@ -161,11 +161,12 @@ def theorem_limits(model, family, mal: MalthusianSolution,
     E[Y(s)] = P(L=0) sum_{c=0}^{D} E[X(s-c)]; the window factor for Y
     collapses to D+1 in the critical case (theta = 0).
 
-    Requires the family to share P-F eigenvectors; in the subcritical regime
+    Requires the family to share P-F eigenvectors, judged on the per-delay
+    P-F data ``mal.pf`` solved with the root; in the subcritical regime
     the lifetime series must converge (geometric tail ratio below
     exp(theta)), otherwise TailDivergesError propagates from the series.
     """
-    rep = shared_pf_check(family, shared_tol)
+    rep = sharing_report(family, mal.pf, shared_tol)
     if not rep.shared:
         raise NotSharedError(
             f"max eigenvector deviation {rep.max_deviation!r} exceeds {shared_tol!r}")

@@ -164,7 +164,12 @@ def shared_pf_check(family, tol: float = SHARING_TOL,
     one computed at the smallest delay; no pair is reported when sharing
     fails.  The per-delay P-F data behind the test is reported as ``pf``.
     """
-    pf = family_pf(family, pf_tol)
+    return sharing_report(family, family_pf(family, pf_tol), tol)
+
+
+def sharing_report(family, pf: dict[int, PFData], tol: float = SHARING_TOL) -> SharedPFReport:
+    """``shared_pf_check`` on per-delay P-F data already solved, such as
+    ``MalthusianSolution.pf``."""
     base = family.delays[0]
     h0, nu0 = pf[base].h, pf[base].nu
     dev = max(max(float(np.max(np.abs(p.h - h0))), float(np.max(np.abs(p.nu - nu0))))

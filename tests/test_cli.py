@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from delayedbp import DuplicateDelayError, LifetimeLaw, SchemaError, errors
+from delayedbp import malthusian as mal_mod
 from delayedbp import simulate as sim_mod
 from delayedbp import spectral as spec_mod
 from delayedbp.cli import dispatch, emit_json, model_to_config, parse_config
@@ -498,6 +499,22 @@ class TestBlockRunOptions:
                          "--alpha", alpha, "--delta", delta]) == 1
         assert capsys.readouterr().err.startswith(f"error:SchemaError: {option}: must lie in")
 
+    def test_huge_upsilon_builds_no_power(self, fib_config, capsys):
+        # no word of span 6 is longer than 2^upsilon, so every class is skipped
+        code = dispatch(["paths", "--config", fib_config, "--s", "6", "--upsilon",
+                         "100000000000", "--alpha", "0.3", "--delta", "0.25"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert _typed_or_ok(code, err)
+        if code == 0:
+            assert json.loads(out)["block_run"]["by_class"] == {}
+
+    def test_upsilon_keeps_long_classes(self, fib_config, capsys):
+        assert dispatch(["paths", "--config", fib_config, "--s", "6", "--upsilon", "2",
+                         "--alpha", "0.3", "--delta", "0.25"]) == 0
+        by_class = json.loads(capsys.readouterr().out)["block_run"]["by_class"]
+        assert set(by_class) == {"[6, 0]", "[4, 1]"}  # r = 6 and 5 exceed 2^2
+
 
 def _typed_or_ok(code, err):
     """Exit 0, or exit 1 with one line naming a DelayedBPError subclass."""
@@ -558,6 +575,26 @@ class TestSpectralSolvesOnce:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert dispatch(["spectral", "--config", self._shared_config(tmp_path)]) == 0
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("argv", [["limits", "--horizon", "50"],
+                                      ["paths", "--s", "6", "--samples", "2000", "--seed", "3"]])
+    def test_no_delay_solved_twice_after_the_root(self, argv, tmp_path, capsys, monkeypatch):
+        # limits and paths --samples read the per-delay P-F data of the root's
+        # solve, so they make no P-F solve beyond solve_malthusian's own
+        fam, _, _, _ = make_shared_family(np.random.default_rng(43), 3, (1, 2, 3, 5))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        path = tmp_path / "shared4.json"
+        path.write_text(json.dumps(model_to_config(model)))
+        calls = []
+        real = spec_mod.pf_decompose
+        counting = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+        monkeypatch.setattr(spec_mod, "pf_decompose", counting)
+        monkeypatch.setattr(mal_mod, "pf_decompose", counting)
+        assert dispatch(["malthusian", "--config", str(path)]) == 0
+        solve = len(calls)
+        assert solve > 4
+        assert dispatch([argv[0], "--config", str(path), *argv[1:]]) == 0
+        assert len(calls) - solve == solve
 
     @pytest.mark.parametrize("tol", ["1e-12", "1e-6"])
     def test_tol_governs_the_sharing_block(self, tol, tmp_path, capsys):

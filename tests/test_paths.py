@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from delayedbp import (BetaNotNormalizedError, CapExceededError,
                        enumerate_lambda, enumerate_words, has_kappa_run,
                        multinomial_size, run_fraction, solve_malthusian,
                        xi_by_enumeration, xi_by_sampling, xi_kernel)
+from delayedbp.paths import SAMPLING_BLOCK
 from conftest import make_shared_family, random_positive_family
 
 
@@ -213,3 +215,91 @@ class TestXiBySampling:
         sol = solve_malthusian(fam)
         with pytest.raises(BetaNotNormalizedError):
             xi_by_sampling(fam, sol, 4, 100, seed=5)
+
+
+def _loop_sampling(family, mal, s, n_samples, seed):
+    """The sampler as a per-row loop: steps from ``Generator.choice``, one
+    chain of matmuls per hit sample, accumulated in sample order."""
+    n = family.n_types
+    if s == 0:
+        return np.eye(n), np.zeros((n, n))
+    delays = np.array(family.delays)
+    probs = np.array([mal.beta[d] for d in family.delays])
+    probs = probs / probs.sum()
+    norm = {d: family.matrix(d) / mal.pf[d].rho for d in family.delays}
+    sums = np.zeros((n, n))
+    sq_sums = np.zeros((n, n))
+    for block_idx, lo in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
+        b = min(SAMPLING_BLOCK, n_samples - lo)
+        rng = Generator(Philox(SeedSequence((seed, block_idx))))
+        steps = rng.choice(delays, size=(b, s), p=probs)
+        csum = np.cumsum(steps, axis=1)
+        stop = (csum >= s).argmax(axis=1)
+        for row in np.flatnonzero(csum[np.arange(b), stop] == s):
+            prod = np.eye(n)
+            for d in steps[row, :stop[row] + 1]:
+                prod = prod @ norm[d]
+            sums += prod
+            sq_sums += prod * prod
+    scale = math.exp(mal.theta * s)
+    mean = sums / n_samples
+    var = (sq_sums - n_samples * mean * mean) / (n_samples - 1)
+    return scale * mean, scale * np.sqrt(np.maximum(var, 0.0) / n_samples)
+
+
+class TestSamplingMatchesLoop:
+    """The batched sampler returns the per-row loop's arrays bit for bit."""
+
+    def _check(self, n, delays, s, n_samples, seed):
+        fam, _, _, _ = make_shared_family(np.random.default_rng([n, *delays]), n, delays)
+        sol = solve_malthusian(fam)
+        est = xi_by_sampling(fam, sol, s, n_samples, seed)
+        estimate, stderr = _loop_sampling(fam, sol, s, n_samples, seed)
+        assert np.array_equal(est.estimate, estimate)
+        assert np.array_equal(est.stderr, stderr)
+        return est
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("delays,s", [((1, 2), 7), ((2, 5), 12)])
+    def test_one_block(self, n, delays, s):
+        self._check(n, delays, s, 400, seed=11)  # at n = 40, several chunks
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_three_blocks(self, n):
+        self._check(n, (1, 2), 4, 2 ** 17 + 5, seed=12)
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_no_possible_hit(self, s):
+        est = self._check(3, (2, 5), s, 500, seed=13)
+        assert not est.estimate.any() and not est.stderr.any()
+
+    def test_zero_span(self):
+        est = self._check(2, (1, 2), 0, 50, seed=14)
+        assert np.array_equal(est.estimate, np.eye(2))
+        assert not est.stderr.any()
+
+    def test_chunking_does_not_matter(self, monkeypatch):
+        from delayedbp import paths
+        fam, _, _, _ = make_shared_family(np.random.default_rng(15), 3, (1, 2, 3))
+        sol = solve_malthusian(fam)
+        runs = []
+        for chunk in (9, 9 * 7, paths.PRODUCT_CHUNK):  # 1 row, 7 rows, default
+            monkeypatch.setattr(paths, "PRODUCT_CHUNK", chunk)
+            est = xi_by_sampling(fam, sol, 8, 3000, seed=16)
+            runs.append((est.estimate, est.stderr, xi_by_enumeration(fam, 8)))
+        for est, err, (total, per_r) in runs[1:]:
+            assert np.array_equal(est, runs[0][0]) and np.array_equal(err, runs[0][1])
+            assert np.array_equal(total, runs[0][2][0])
+            assert all(np.array_equal(per_r[r], runs[0][2][1][r]) for r in per_r)
+
+    @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.1, 0.2, 0.7), (0.5, 0.25, 0.125, 0.125),
+                                       (1.0,)])
+    def test_inverse_cdf_is_choice(self, probs):
+        from delayedbp.paths import _inverse_cdf
+        cdf = np.cumsum(np.array(probs) / np.sum(probs))
+        cdf /= cdf[-1]
+        for seed in range(20):
+            expect = Generator(Philox(SeedSequence((seed, 0)))).choice(
+                len(probs), size=(300, 7), p=probs)
+            u = Generator(Philox(SeedSequence((seed, 0)))).random((300, 7))
+            assert np.array_equal(_inverse_cdf(u, cdf), expect)
