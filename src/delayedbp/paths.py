@@ -317,8 +317,9 @@ def xi_by_enumeration(family, s: int, cap: int = KERNEL_S_CAP):
 
 def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Number of entries of ``cdf`` at or below each u, the index
-    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u)."""
-    idx = np.zeros(u.shape, dtype=np.intp)
+    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u), in
+    the smallest unsigned type that also holds index + 1."""
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf)))
     for c in cdf[:-1]:
         idx += u >= c
     return idx
