@@ -13,7 +13,8 @@ from delayedbp import (BetaNotNormalizedError, CapExceededError,
                        enumerate_lambda, enumerate_words, has_kappa_run,
                        multinomial_size, run_fraction, solve_malthusian,
                        xi_by_enumeration, xi_by_sampling, xi_kernel)
-from delayedbp.paths import SAMPLING_BLOCK
+from delayedbp import paths
+from delayedbp.paths import SAMPLING_BLOCK, _inverse_cdf
 from conftest import make_shared_family, random_positive_family
 
 
@@ -279,7 +280,6 @@ class TestSamplingMatchesLoop:
         assert not est.stderr.any()
 
     def test_chunking_does_not_matter(self, monkeypatch):
-        from delayedbp import paths
         fam, _, _, _ = make_shared_family(np.random.default_rng(15), 3, (1, 2, 3))
         sol = solve_malthusian(fam)
         runs = []
@@ -295,7 +295,6 @@ class TestSamplingMatchesLoop:
     @pytest.mark.parametrize("probs", [(0.3, 0.7), (0.1, 0.2, 0.7), (0.5, 0.25, 0.125, 0.125),
                                        (1.0,)])
     def test_inverse_cdf_is_choice(self, probs):
-        from delayedbp.paths import _inverse_cdf
         cdf = np.cumsum(np.array(probs) / np.sum(probs))
         cdf /= cdf[-1]
         for seed in range(20):
