@@ -30,7 +30,7 @@ from .malthusian import (CompanionSystem, MalthusianSolution, build_companion,
 from .recursion import (LimitReport, MeanTrajectory, age_distribution,
                         evolve_means, stationary_check, theorem_limits,
                         xi_kernel)
-from .paths import (PathWord, RunFractions, SamplingEstimate, StepCountVector,
+from .paths import (RunFractions, SamplingEstimate, StepCountVector,
                     block_run_statistic, enumerate_lambda, enumerate_words,
                     has_kappa_run, multinomial_size, run_fraction,
                     xi_by_enumeration, xi_by_sampling)

@@ -14,6 +14,7 @@ losslessly.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -345,6 +346,10 @@ def _cmd_limits(args) -> int:
     return 0
 
 
+def _fraction(f) -> dict:
+    return {"numerator": f.numerator, "denominator": f.denominator, "value": float(f)}
+
+
 def _cmd_paths(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
@@ -363,13 +368,8 @@ def _cmd_paths(args) -> int:
         rf = paths_mod.run_fraction(delays, args.s, args.kappa)
         doc["run_fraction"] = {
             "kappa": args.kappa,
-            "by_class": {str(list(c)): {"numerator": f.numerator,
-                                        "denominator": f.denominator,
-                                        "value": float(f)}
-                         for c, f in rf.by_class.items()},
-            "min": {"numerator": rf.minimum.numerator,
-                    "denominator": rf.minimum.denominator,
-                    "value": float(rf.minimum)},
+            "by_class": {str(list(c)): _fraction(f) for c, f in rf.by_class.items()},
+            "min": None if rf.minimum is None else _fraction(rf.minimum),
         }
     if args.upsilon is not None:
         block = {}
@@ -377,10 +377,10 @@ def _cmd_paths(args) -> int:
             if not paths_mod.longer_than_block(k.r, args.upsilon):
                 continue
             words = paths_mod.enumerate_words(k)
-            passing = sum(1 for w in words
-                          if paths_mod.block_run_statistic(w, delays, args.upsilon,
-                                                           args.alpha, args.delta))
-            block[str(list(k.counts))] = {"passing": passing, "words": len(words)}
+            passing = paths_mod.block_run_statistic(words, delays, args.upsilon,
+                                                    args.alpha, args.delta)
+            block[str(list(k.counts))] = {"passing": np.count_nonzero(passing),
+                                          "words": len(words)}
         doc["block_run"] = {"upsilon": args.upsilon, "alpha": args.alpha,
                             "delta": args.delta, "by_class": block}
     if args.samples is not None:
@@ -480,6 +480,7 @@ def _at_least(low, cast=int, strict=False):
     return parse
 
 
+@functools.cache  # argparse keeps no state between parses, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delayedbp",
@@ -513,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("paths", _cmd_paths, help="path classes, run fractions, kernel estimates")
     p.add_argument("--config", required=True)
     p.add_argument("--s", type=_at_least(0), required=True)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--r", type=_at_least(0), default=None)
     p.add_argument("--kappa", type=_at_least(2), default=None)
     p.add_argument("--upsilon", type=_at_least(1), default=None)
     p.add_argument("--alpha", type=float, default=None)

@@ -2,10 +2,12 @@
 
 A backward path from time s to 0 is a word (d_1, ..., d_r) of delays summing
 to s.  Words group into classes by their step-count vector k (how many steps
-of each size), each class holding r!/prod(k_d!) distinct words.  Long words
-almost always contain long runs of a repeated symbol, which is what drags
-products of normalized mean matrices to their rank-one limit; the run and
-block statistics here make that effect measurable at small s.
+of each size), each class holding r!/prod(k_d!) distinct words.  A class's
+words are one integer array, a word per row, and the run statistics work
+along its last axis, one answer per row.  Long words almost always contain
+long runs of a repeated symbol, which is what drags products of normalized
+mean matrices to their rank-one limit; the run and block statistics here
+make that effect measurable at small s.
 
 Two independent evaluations of the kernel live here as test oracles: full
 path enumeration (exponential cost, capped) and a Monte Carlo estimator that
@@ -57,15 +59,8 @@ class StepCountVector:
     def total(self) -> int:
         return sum(d * k for d, k in zip(self.delays, self.counts))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.delays, self.counts))
 
-
-PathWord = tuple[int, ...]
-
-
-def enumerate_lambda(delays, s: int, r: int | None = None,
-                     cap: int = ENUMERATION_S_CAP) -> list[StepCountVector]:
+def enumerate_lambda(delays, s: int, r: int | None = None) -> list[StepCountVector]:
     """All step-count vectors spanning exactly s, ascending lexicographic.
 
     With ``r`` given, restricts to words of that length (Lambda(s, r) is
@@ -73,8 +68,8 @@ def enumerate_lambda(delays, s: int, r: int | None = None,
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if s > cap:
-        raise CapExceededError(f"enumeration capped at s <= {cap}, got {s}")
+    if s > ENUMERATION_S_CAP:
+        raise CapExceededError(f"enumeration capped at s <= {ENUMERATION_S_CAP}, got {s}")
     delays = tuple(sorted(int(d) for d in delays))
     out: list[StepCountVector] = []
 
@@ -103,55 +98,58 @@ def multinomial_size(k: StepCountVector) -> int:
     return num
 
 
-def enumerate_words(k: StepCountVector, cap: int = WORD_CAP) -> list[PathWord]:
-    """All distinct arrangements of the multiset described by k."""
+def enumerate_words(k: StepCountVector) -> np.ndarray:
+    """All distinct arrangements of the multiset described by k, one word
+    per row of an (|S(k)|, r) array of delays.
+
+    Rows are in ascending lexicographic order when ``k.delays`` ascend (as
+    ``enumerate_lambda`` gives them).  The array has the smallest unsigned
+    type that holds every delay and count, uint8 below 256.  Words are built
+    one position at a time: each prefix is extended by every delay it has
+    left, in delay order.
+    """
     size = multinomial_size(k)
-    if size > cap:
-        raise CapExceededError(f"class holds {size} words, cap is {cap}")
-    out: list[PathWord] = []
-    counts = list(k.counts)
-    r = k.r
-
-    def rec(prefix):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for idx, d in enumerate(k.delays):
-            if counts[idx] > 0:
-                counts[idx] -= 1
-                prefix.append(d)
-                rec(prefix)
-                prefix.pop()
-                counts[idx] += 1
-
-    rec([])
-    return out
+    if size > WORD_CAP:
+        raise CapExceededError(f"class holds {size} words, cap is {WORD_CAP}")
+    dtype = np.min_scalar_type(max(k.delays + k.counts, default=0))
+    delays = np.array(k.delays, dtype=dtype)
+    words = np.empty((1, 0), dtype=dtype)
+    left = np.array([k.counts], dtype=dtype)  # per prefix: steps of each delay still to place
+    for _ in range(k.r):
+        rows, cols = np.nonzero(left)
+        words = np.column_stack((words[rows], delays[cols]))
+        left = left[rows]
+        left[np.arange(len(rows)), cols] -= 1
+    return words
 
 
-def has_kappa_run(word, kappa: int) -> bool:
-    """True iff the word contains kappa consecutive equal symbols.
+def has_kappa_run(words, kappa: int):
+    """Whether a word contains kappa consecutive equal symbols, along the last
+    axis: one bool for one word, one per row for an (m, r) array.
 
     Words shorter than kappa never qualify.
     """
     if kappa <= 1:
         raise ValueError("kappa must be > 1")
-    run = 1
-    for prev, cur in zip(word, word[1:]):
-        run = run + 1 if cur == prev else 1
-        if run >= kappa:
-            return True
-    return False
+    words = np.asarray(words)
+    r = words.shape[-1]
+    equal = words[..., 1:] == words[..., :-1]
+    run = equal  # after step j: positions i .. i + j + 1 all hold one symbol
+    for j in range(1, min(kappa, r) - 1):
+        run = run[..., :-1] & equal[..., j:]
+    return run.any(axis=-1) & (r >= kappa)  # the loop stops at r: a shorter word cannot qualify
 
 
 @dataclass(frozen=True)
 class RunFractions:
-    """Per-class fraction of words containing a kappa-run, as exact rationals."""
+    """Per-class fraction of words containing a kappa-run, as exact rationals.
+    ``minimum`` is None when Lambda(s) has no class."""
 
     by_class: dict[tuple[int, ...], Fraction]
-    minimum: Fraction
+    minimum: Fraction | None
 
 
-def run_fraction(delays, s: int, kappa: int, cap: int = WORD_CAP) -> RunFractions:
+def run_fraction(delays, s: int, kappa: int) -> RunFractions:
     """|S(k)^kappa| / |S(k)| for every class k in Lambda(s), plus the minimum.
 
     The minimum over classes creeps toward 1 as s grows: long words cannot
@@ -159,10 +157,9 @@ def run_fraction(delays, s: int, kappa: int, cap: int = WORD_CAP) -> RunFraction
     """
     fractions: dict[tuple[int, ...], Fraction] = {}
     for k in enumerate_lambda(delays, s):
-        words = enumerate_words(k, cap)
-        hits = sum(1 for w in words if has_kappa_run(w, kappa))
-        fractions[k.counts] = Fraction(hits, len(words))
-    return RunFractions(by_class=fractions, minimum=min(fractions.values()))
+        words = enumerate_words(k)
+        fractions[k.counts] = Fraction(np.count_nonzero(has_kappa_run(words, kappa)), len(words))
+    return RunFractions(by_class=fractions, minimum=min(fractions.values(), default=None))
 
 
 def check_block_run_params(delays, alpha: float, delta: float, prefix: str = "") -> None:
@@ -181,10 +178,11 @@ def longer_than_block(r: int, upsilon: int) -> bool:
     return r > 1 << min(upsilon, r.bit_length())
 
 
-def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) -> bool:
-    """Aligned-block run test behind the run-frequency lower bound.
+def block_run_statistic(words, delays, upsilon: int, alpha: float, delta: float):
+    """Aligned-block run test behind the run-frequency lower bound, along the
+    last axis: one bool for one word, one per row for an (m, r) array.
 
-    Splits the word into floor(r / 2^upsilon) aligned blocks of length
+    Splits a word into floor(r / 2^upsilon) aligned blocks of length
     2^upsilon and asks whether some delay d fills at least
     (1 - delta) * beta_upsilon * floor(r / 2^upsilon) of them entirely, where
     beta_0 = alpha and beta_l = beta_{l-1} (1 - beta_{l-1}).
@@ -192,7 +190,8 @@ def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) 
     if upsilon < 1:
         raise ValueError("upsilon must be >= 1")
     check_block_run_params(delays, alpha, delta)
-    r = len(word)
+    words = np.asarray(words)
+    r = words.shape[-1]
     if not longer_than_block(r, upsilon):
         raise ValueError(f"word length {r} must exceed 2^upsilon = 2^{upsilon}")
     block = 1 << upsilon
@@ -201,15 +200,11 @@ def block_run_statistic(word, delays, upsilon: int, alpha: float, delta: float) 
         beta = beta * (1.0 - beta)
     n_blocks = r // block
     threshold = (1.0 - delta) * beta * n_blocks
-    for d in set(delays):
-        full = 0
-        for i in range(n_blocks):
-            seg = word[i * block:(i + 1) * block]
-            if all(x == d for x in seg):
-                full += 1
-        if full >= threshold:
-            return True
-    return False
+    blocks = words[..., :n_blocks * block].reshape(*words.shape[:-1], n_blocks, block)
+    first = blocks[..., 0]
+    filled = (blocks == first[..., None]).all(axis=-1)
+    return np.any([np.count_nonzero(filled & (first == d), axis=-1) >= threshold
+                   for d in set(delays)], axis=0)
 
 
 def _product_chunk(norm: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -277,7 +272,7 @@ def _normalized_stack(family, pf) -> np.ndarray:
     return np.stack([family.matrix(d) / pf[d].rho for d in family.delays])
 
 
-def xi_by_enumeration(family, s: int, cap: int = KERNEL_S_CAP):
+def xi_by_enumeration(family, s: int):
     """Kernel at time s by summing matrix products over every backward path.
 
     Evaluates the class-resolved form: each class k contributes
@@ -285,22 +280,18 @@ def xi_by_enumeration(family, s: int, cap: int = KERNEL_S_CAP):
     products, which reproduces the plain path sum but exercises the
     eigenvalue bookkeeping.  Returns (Xi(s), {r: Xi(s; r)}).
     """
-    if s > cap:
-        raise CapExceededError(f"enumeration kernel capped at s <= {cap}, got {s}")
+    if s > KERNEL_S_CAP:
+        raise CapExceededError(f"enumeration kernel capped at s <= {KERNEL_S_CAP}, got {s}")
     n = family.n_types
     pf = family_pf(family)
     per_r: dict[int, np.ndarray] = {}
-    if s == 0:
-        per_r[0] = np.eye(n)
-        return np.eye(n), per_r
-    # every word of every class in one pass, padded with 0 past its end
     classes = enumerate_lambda(family.delays, s)
+    if not classes:  # no word spans s, as s = 3 on delays {2, 5}
+        return np.zeros((n, n)), per_r
+    # every word of every class in one pass, padded with 0 past its end
     words = [enumerate_words(k) for k in classes]
-    sym = np.zeros((sum(map(len, words)), s), dtype=np.intp)
-    row = 0
-    for k, ws in zip(classes, words):
-        sym[row:row + len(ws), :k.r] = np.searchsorted(family.delays, ws) + 1
-        row += len(ws)
+    padded = np.concatenate([np.pad(ws, ((0, 0), (0, s - ws.shape[1]))) for ws in words])
+    sym = np.searchsorted(family.delays, padded, side="right")  # delay index + 1, 0 stays 0
     acc = np.zeros((len(classes), n, n))
     _add_word_products(_normalized_stack(family, pf), sym, acc,
                        owner=np.repeat(np.arange(len(classes)), list(map(len, words))))

@@ -126,6 +126,20 @@ class TestDispatch:
         assert (frac["numerator"], frac["denominator"]) == (2, 3)
         assert doc["run_fraction"]["min"]["value"] == pytest.approx(2 / 3)
 
+    def test_paths_run_fraction_with_no_class(self, tmp_path, capsys):
+        # delays {2, 5} cannot span s = 3, so Lambda(3) is empty
+        doc = dict(FIB_CONFIG, delays=[2, 5],
+                   offspring={"kind": "poisson", "means": {"2": [[1.0]], "5": [[1.0]]}})
+        path = tmp_path / "d25.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["paths", "--config", str(path), "--s", "3", "--kappa", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert '"by_class": {},\n    "min": null' in out
+        doc = json.loads(out)
+        assert doc["classes"] == []
+        assert doc["run_fraction"] == {"kappa": 2, "by_class": {}, "min": None}
+
     def test_paths_sampling_requires_seed(self, fib_config, capsys):
         code = dispatch(["paths", "--config", fib_config, "--s", "4",
                          "--samples", "100"])
@@ -336,6 +350,15 @@ class TestDispatch:
     def test_usage_error_exit_code(self):
         assert dispatch(["no-such-command"]) == 2
         assert dispatch(["evolve"]) == 2
+
+    def test_usage_error_after_a_success(self, fib_config, capsys):
+        # the parser is built once per process; a parse leaves nothing behind
+        assert dispatch(["paths", "--config", fib_config, "--s", "4", "--r", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"][0]["r"] == 3
+        assert dispatch(["paths", "--config", fib_config, "--s", "4", "--r", "-1"]) == 2
+        assert "error: argument --r: must be >= 0" in capsys.readouterr().err
+        assert dispatch(["paths", "--config", fib_config, "--s", "4"]) == 0
+        assert "run_fraction" not in json.loads(capsys.readouterr().out)
 
 
 class TestModelToConfig:

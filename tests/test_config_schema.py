@@ -232,6 +232,7 @@ def test_boolean_is_not_a_number(command, flag, doc, field, tmp_path, capsys):
     (["spectral", "--tol", "0"], "--tol"),
     (["spectral", "--tol", "-1"], "--tol"),
     (["spectral", "--tol", "nan"], "--tol"),
+    (["paths", "--s", "4", "--r", "-1"], "--r"),
 ])
 def test_option_below_its_bound(argv, option, tmp_path, capsys):
     path = tmp_path / "fib.json"

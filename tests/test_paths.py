@@ -60,10 +60,10 @@ class TestMultinomialSize:
 class TestEnumerateWords:
     def test_small_class(self):
         words = enumerate_words(StepCountVector((1, 2), (2, 1)))
-        assert set(words) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+        assert set(map(tuple, words.tolist())) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
 
     def test_singleton(self):
-        assert enumerate_words(StepCountVector((1, 2), (1, 0))) == [(1,)]
+        assert enumerate_words(StepCountVector((1, 2), (1, 0))).tolist() == [[1]]
 
     @given(st.lists(st.integers(0, 4), min_size=2, max_size=3))
     @settings(max_examples=30, deadline=None)
@@ -71,7 +71,20 @@ class TestEnumerateWords:
         k = StepCountVector(tuple(range(1, len(counts) + 1)), tuple(counts))
         words = enumerate_words(k)
         assert len(words) == multinomial_size(k)
-        assert len(set(words)) == len(words)
+        assert len(set(map(tuple, words.tolist()))) == len(words)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.sampled_from([1, 3, 300]))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_sorted_permutations(self, counts, step):
+        delays = tuple(step * (i + 1) for i in range(len(counts)))
+        words = enumerate_words(StepCountVector(delays, tuple(counts)))
+        # the distinct permutations of the multiset; filtering all words of
+        # length r stays fast where itertools.permutations would take 12! steps
+        arrangements = sorted(w for w in itertools.product(delays, repeat=sum(counts))
+                              if all(w.count(d) == c for d, c in zip(delays, counts)))
+        assert words.shape == (len(arrangements), sum(counts))
+        assert [tuple(w) for w in words.tolist()] == arrangements
+        assert words.dtype == (np.uint8 if step < 100 else np.uint16)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -91,7 +104,84 @@ class TestKappaRuns:
             has_kappa_run((1, 2), 1)
 
 
+def _kappa_run_loop(word, kappa):
+    """The per-word loop the array form replaced, kept as its reference."""
+    run = 1
+    for prev, cur in zip(word, word[1:]):
+        run = run + 1 if cur == prev else 1
+        if run >= kappa:
+            return True
+    return False
+
+
+def _block_run_loop(word, delays, upsilon, alpha, delta):
+    """The per-word loop the array form replaced, kept as its reference."""
+    block = 1 << upsilon
+    beta = alpha
+    for _ in range(upsilon):
+        beta = beta * (1.0 - beta)
+    n_blocks = len(word) // block
+    threshold = (1.0 - delta) * beta * n_blocks
+    for d in set(delays):
+        full = sum(all(x == d for x in word[i * block:(i + 1) * block])
+                   for i in range(n_blocks))
+        if full >= threshold:
+            return True
+    return False
+
+
+class TestRowwiseStatistics:
+    """The statistics on an (m, r) array give the per-row answers."""
+
+    CLASSES = [((1, 2), (0, 0)), ((1, 2), (1, 0)), ((1, 2), (1, 1)), ((1, 2), (4, 3)),
+               ((1, 2, 3), (2, 2, 2)), ((2, 5), (3, 2)), ((1, 3, 4), (5, 1, 1))]
+
+    @pytest.mark.parametrize("delays,counts", CLASSES)
+    @pytest.mark.parametrize("kappa", [2, 3, 4, 50])
+    def test_kappa_run(self, delays, counts, kappa):
+        words = enumerate_words(StepCountVector(delays, counts))
+        flags = has_kappa_run(words, kappa)
+        rows = [tuple(w) for w in words.tolist()]
+        assert flags.shape == (len(rows),)
+        assert flags.tolist() == [bool(has_kappa_run(w, kappa)) for w in rows]
+        assert flags.tolist() == [_kappa_run_loop(w, kappa) for w in rows]
+
+    @pytest.mark.parametrize("delays,counts", CLASSES)
+    @pytest.mark.parametrize("upsilon", [1, 2])
+    def test_block_run(self, delays, counts, upsilon):
+        words = enumerate_words(StepCountVector(delays, counts))
+        rows = [tuple(w) for w in words.tolist()]
+        if words.shape[1] <= 1 << upsilon:  # every word too short for the block
+            with pytest.raises(ValueError, match="must exceed 2\\^upsilon"):
+                block_run_statistic(words, delays, upsilon, 0.2, 0.25)
+            return
+        flags = block_run_statistic(words, delays, upsilon, 0.2, 0.25)
+        assert flags.shape == (len(rows),)
+        assert flags.tolist() == [bool(block_run_statistic(w, delays, upsilon, 0.2, 0.25))
+                                  for w in rows]
+        assert flags.tolist() == [_block_run_loop(w, delays, upsilon, 0.2, 0.25)
+                                  for w in rows]
+
+    def test_checks_hold_for_arrays(self):
+        words = enumerate_words(StepCountVector((1, 2), (3, 3)))
+        with pytest.raises(ValueError, match="kappa"):
+            has_kappa_run(words, 1)
+        with pytest.raises(ValueError, match="upsilon"):
+            block_run_statistic(words, (1, 2), 0, 0.2, 0.25)
+        with pytest.raises(ValueError, match="alpha"):
+            block_run_statistic(words, (1, 2), 1, 0.6, 0.25)
+        with pytest.raises(ValueError, match="delta"):
+            block_run_statistic(words, (1, 2), 1, 0.2, 0.6)
+
+
 class TestRunFraction:
+    def test_no_class_spans_s(self):
+        # delays {2, 5} reach neither 1 nor 3
+        for s in (1, 3):
+            rf = run_fraction((2, 5), s, 2)
+            assert rf.by_class == {}
+            assert rf.minimum is None
+
     def test_exact_two_thirds(self):
         rf = run_fraction((1, 2), 4, 2)
         assert rf.by_class[(2, 1)] == Fraction(2, 3)
@@ -174,6 +264,14 @@ class TestXiByEnumeration:
     def test_cap(self, fib_family):
         with pytest.raises(CapExceededError):
             xi_by_enumeration(fib_family, 13)
+
+    def test_no_class_spans_s(self):
+        fam = random_positive_family(np.random.default_rng(139), 2, (2, 5), scale=0.9)
+        for s in (1, 3):
+            total, per_r = xi_by_enumeration(fam, s)
+            assert np.array_equal(total, np.zeros((2, 2)))
+            assert per_r == {}
+            assert np.array_equal(total, xi_kernel(fam, s))
 
 
 class TestXiBySampling:
