@@ -155,6 +155,8 @@ def run_fraction(delays, s: int, kappa: int) -> RunFractions:
     The minimum over classes creeps toward 1 as s grows: long words cannot
     avoid runs.
     """
+    if kappa <= 1:  # checked here too, so that an empty Lambda(s) does not skip it
+        raise ValueError("kappa must be > 1")
     fractions: dict[tuple[int, ...], Fraction] = {}
     for k in enumerate_lambda(delays, s):
         words = enumerate_words(k)

@@ -181,6 +181,8 @@ class TestRunFraction:
             rf = run_fraction((2, 5), s, 2)
             assert rf.by_class == {}
             assert rf.minimum is None
+            with pytest.raises(ValueError, match="kappa"):
+                run_fraction((2, 5), s, 1)
 
     def test_exact_two_thirds(self):
         rf = run_fraction((1, 2), 4, 2)
