@@ -21,11 +21,12 @@ model = ModelSpec(
 )
 family = censored_mean_matrices(model)
 
-rec = simulate_replica(model, 12, seed=2024)
+rec = simulate_replica(model, 12, seed=2024)  # a block of one row
 print("one replica (births / symptomatic / asymptomatic):")
 for s in range(13):
-    print(f"  s={s:2d}  x={rec.x[s, 0]:3d}  z={rec.z[s, 0]:3d}  y={rec.y[s, 0]:3d}")
-print("extinct (births):", rec.extinction_x)
+    print(f"  s={s:2d}  x={rec.x[0, s, 0]:3d}  z={rec.z[0, s, 0]:3d}  y={rec.y[0, s, 0]:3d}")
+det, time = rec.extinction()
+print("extinction of X, Z, Y: determined", det[:, 0].tolist(), "time", time[:, 0].tolist())
 
 again = simulate_replica(model, 12, seed=2024)
 print("same seed reproduces the record exactly:",

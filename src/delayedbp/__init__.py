@@ -34,7 +34,7 @@ from .paths import (RunFractions, SamplingEstimate, StepCountVector,
                     block_run_statistic, enumerate_lambda, enumerate_words,
                     has_kappa_run, multinomial_size, run_fraction,
                     xi_by_enumeration, xi_by_sampling)
-from .simulate import (EnsembleStats, SimulationRecord, ensemble,
+from .simulate import (EnsembleStats, ReplicaBlock, ensemble,
                        extinction_consistency, simulate_replica)
 from .cli import model_to_config, parse_config
 

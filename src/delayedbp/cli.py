@@ -366,10 +366,13 @@ def _cmd_paths(args) -> int:
     }
     if args.kappa is not None:
         rf = paths_mod.run_fraction(delays, args.s, args.kappa)
+        # --r scopes the run fractions as it scopes the class list
+        fractions = {c: f for c, f in rf.by_class.items() if args.r in (None, sum(c))}
+        low = min(fractions.values(), default=None)
         doc["run_fraction"] = {
             "kappa": args.kappa,
-            "by_class": {str(list(c)): _fraction(f) for c, f in rf.by_class.items()},
-            "min": None if rf.minimum is None else _fraction(rf.minimum),
+            "by_class": {str(list(c)): _fraction(f) for c, f in fractions.items()},
+            "min": None if low is None else _fraction(low),
         }
     if args.upsilon is not None:
         block = {}

@@ -24,7 +24,8 @@ replica k is row k % B of block k // B, and that block's stream is keyed
 (seed, k // B).  B = ``block_rows`` depends only on the horizon, the type
 count and, for pmf-kind laws, the size of the offspring split, so results do
 not depend on how blocks are scheduled.
-``simulate_replica`` is a block of one row keyed by its seed.
+``simulate_replica`` returns the block of one row keyed by its seed, and
+``extinction_consistency`` checks the rows of any sequence of blocks.
 """
 
 from __future__ import annotations
@@ -52,36 +53,10 @@ _SCALAR_DRAWS = 4
 
 
 @dataclass(frozen=True)
-class ExtinctionInfo:
-    """Extinction time, when the horizon suffices to determine it.
-
-    ``time`` is the first instant from which the process stays at zero; it is
-    None while undetermined (the process might still be alive past the
-    horizon, or the replica was truncated).
-    """
-
-    determined: bool
-    time: int | None
-
-
-@dataclass(frozen=True)
-class SimulationRecord:
-    horizon: int
-    max_delay: int
-    seed: object
-    x: np.ndarray = field(repr=False)  # births per (time, type)
-    z: np.ndarray = field(repr=False)  # symptomatic present
-    y: np.ndarray = field(repr=False)  # asymptomatic present
-    extinction_x: ExtinctionInfo
-    extinction_z: ExtinctionInfo
-    extinction_y: ExtinctionInfo
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class ReplicaBlock:
-    """The rows of one block.  ``counts[r]`` stacks the X, Z and Y arrays of
-    row r, each per (time, type) as in SimulationRecord."""
+    """The rows of one block.  ``counts[r]`` stacks, per (time, type), the
+    births X, the symptomatic present Z and the asymptomatic present Y of
+    row r."""
 
     max_delay: int
     counts: np.ndarray = field(repr=False)  # (rows, 3, horizon + 1, types)
@@ -100,8 +75,12 @@ class ReplicaBlock:
         return self.counts[:, 2]
 
     def extinction(self) -> tuple[np.ndarray, np.ndarray]:
-        """(determined, time) of X, Z and Y, each of shape (3, rows), with
-        the meaning of ExtinctionInfo; time is -1 where undetermined."""
+        """(determined, time) of X, Z and Y, each of shape (3, rows).
+
+        The time is the first instant from which the count stays at 0.  It
+        is undetermined, and -1, while the row might still be alive past the
+        horizon, or when the row was truncated.
+        """
         S = self.counts.shape[2] - 1
         # one past the last time with mass, 0 for none
         end = (self.counts.any(axis=3) * np.arange(1, S + 2)).max(axis=2).T
@@ -220,19 +199,10 @@ def _draw_births(rng, kind: str, law: np.ndarray, alive: np.ndarray) -> np.ndarr
     return (split @ np.arange(law.shape[-1])).sum(axis=2)
 
 
-def simulate_replica(model, horizon: int, seed, pop_cap: int = DEFAULT_POP_CAP) -> SimulationRecord:
-    """Simulate one replica; deterministic given the seed.
-
-    The replica is a block of one row keyed by ``seed``, an int or a tuple
-    of ints.  When the number of individuals ever created exceeds
-    ``pop_cap`` the replica stops producing offspring, the truncation flag
-    is set, and extinction becomes undetermined.
-    """
-    block = simulate_block(model, horizon, seed, 1, pop_cap)
-    det, time = (a[:, 0].tolist() for a in block.extinction())
-    ext = [ExtinctionInfo(d, t if d else None) for d, t in zip(det, time)]
-    return SimulationRecord(horizon, block.max_delay, seed, *block.counts[0], *ext,
-                            truncated=bool(block.truncated[0]))
+def simulate_replica(model, horizon: int, seed, pop_cap: int = DEFAULT_POP_CAP) -> ReplicaBlock:
+    """Simulate one replica, the block of one row keyed by ``seed`` (an int
+    or a tuple of ints); deterministic given the seed."""
+    return simulate_block(model, horizon, seed, 1, pop_cap)
 
 
 @dataclass(frozen=True)
@@ -320,31 +290,35 @@ class ConsistencyReport:
         return not self.violations
 
 
-def extinction_consistency(records) -> ConsistencyReport:
-    """Check the pathwise extinction orderings on a batch of records.
+def extinction_consistency(blocks) -> ConsistencyReport:
+    """Check the pathwise extinction orderings on the rows of replica blocks.
 
-    Per replica: asymptomatic presence must cease within D of the last birth
-    (T_Y <= T_X + D), counts must actually vanish from the reported
-    extinction times onward, and a determined birth extinction forces the
-    asymptomatic one to be determined as well.  Violations indicate an
+    Per untruncated row: asymptomatic presence must cease within D of the
+    last birth (T_Y <= T_X + D), counts must actually vanish from the
+    reported extinction times onward, and a determined birth extinction
+    forces the asymptomatic one to be determined as well.  Replicas are
+    numbered across the blocks in order.  Violations indicate an
     implementation bug, not randomness.
     """
     violations = []
-    checked = 0
-    for idx, rec in enumerate(records):
-        if rec.truncated:
-            continue
-        checked += 1
-        D = rec.max_delay
-        ex, ey, ez = rec.extinction_x, rec.extinction_y, rec.extinction_z
-        if ex.determined:
-            if not ey.determined:
-                violations.append(f"replica {idx}: X extinction determined but Y not")
-            elif ey.time > ex.time + D:
-                violations.append(
-                    f"replica {idx}: T_Y = {ey.time} > T_X + D = {ex.time + D}")
-        for name, arr, info in (("X", rec.x, ex), ("Z", rec.z, ez), ("Y", rec.y, ey)):
-            if info.determined and arr[info.time:].sum() != 0:
-                violations.append(
-                    f"replica {idx}: {name} has mass at or after its extinction time")
+    checked = first = 0
+    for block in blocks:
+        det, time = block.extinction()
+        D = block.max_delay
+        # whether X, Z and Y of a row have mass at or after a determined extinction
+        after = np.arange(block.counts.shape[2]) >= time[..., None]
+        mass = (block.counts.any(axis=3).transpose(1, 0, 2) & after & det[..., None]).any(axis=2)
+        rows = zip(block.truncated.tolist(), det.T.tolist(), time.T.tolist(), mass.T.tolist())
+        for idx, (trunc, (dx, _, dy), (tx, _, ty), bad) in enumerate(rows, start=first):
+            if trunc:
+                continue
+            checked += 1
+            if dx:
+                if not dy:
+                    violations.append(f"replica {idx}: X extinction determined but Y not")
+                elif ty > tx + D:
+                    violations.append(f"replica {idx}: T_Y = {ty} > T_X + D = {tx + D}")
+            violations += [f"replica {idx}: {name} has mass at or after its extinction time"
+                           for name, b in zip("XZY", bad) if b]
+        first += len(block.truncated)
     return ConsistencyReport(replicas_checked=checked, violations=tuple(violations))

@@ -126,6 +126,22 @@ class TestDispatch:
         assert (frac["numerator"], frac["denominator"]) == (2, 3)
         assert doc["run_fraction"]["min"]["value"] == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("r, by_class, low", [
+        ("3", {"[2, 1]": (2, 3)}, 2 / 3),
+        ("2", {"[0, 2]": (1, 1)}, 1.0),  # min over all of Lambda(4) is 2/3
+        ("5", {}, None),  # Lambda(4, 5) is empty
+    ])
+    def test_paths_r_scopes_run_fraction(self, fib_config, capsys, r, by_class, low):
+        assert dispatch(["paths", "--config", fib_config, "--s", "4", "--r", r,
+                         "--kappa", "2"]) == 0
+        rf = json.loads(capsys.readouterr().out)["run_fraction"]
+        assert {c: (f["numerator"], f["denominator"])
+                for c, f in rf["by_class"].items()} == by_class
+        if low is None:
+            assert rf["min"] is None
+        else:
+            assert rf["min"]["value"] == pytest.approx(low)
+
     def test_paths_run_fraction_with_no_class(self, tmp_path, capsys):
         # delays {2, 5} cannot span s = 3, so Lambda(3) is empty
         doc = dict(FIB_CONFIG, delays=[2, 5],

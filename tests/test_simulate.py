@@ -8,8 +8,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
                        OffspringLaw, censored_mean_matrices, ensemble,
                        evolve_means, extinction_consistency, simulate_replica)
-from delayedbp.simulate import (BLOCK_BYTES, _multinomial, _poisson, block_rows,
-                                replica_blocks, simulate_block, summarize)
+from delayedbp.simulate import (BLOCK_BYTES, ReplicaBlock, _multinomial, _poisson,
+                                block_rows, replica_blocks, simulate_block, summarize)
 from delayedbp import simulate as sim_mod
 from conftest import make_fibonacci_model
 
@@ -37,7 +37,8 @@ class TestSimulateReplica:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.y, b.y)
-        assert a.extinction_x == b.extinction_x
+        for u, v in zip(a.extinction(), b.extinction()):
+            assert np.array_equal(u, v)
 
     def test_different_seeds_differ(self, fib_model):
         a = simulate_replica(fib_model, 8, seed=1)
@@ -53,34 +54,36 @@ class TestSimulateReplica:
                 offspring=OffspringLaw(kind="pmf", pmfs={1: [[(1.0,)]]}),
                 lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         rec = simulate_replica(model, 10, seed=7)
-        assert rec.x.sum() == 1 and rec.x[0, 0] == 1
-        assert rec.extinction_x.determined and rec.extinction_x.time == 1
+        assert rec.x.sum() == 1 and rec.x[0, 0, 0] == 1
+        det, time = rec.extinction()
+        assert det[0, 0] and time[0, 0] == 1
 
     def test_all_asymptomatic_identities(self):
         model = asymptomatic_model()
         rec = simulate_replica(model, 12, seed=11)
         assert rec.z.sum() == 0
-        assert rec.extinction_z.determined is (rec.extinction_x.determined)
-        if rec.extinction_z.determined:
-            assert rec.extinction_z.time == 0
+        det, time = rec.extinction()
+        assert det[1, 0] == det[0, 0]
+        if det[1, 0]:
+            assert time[1, 0] == 0
         # asymptomatic presence is exactly the trailing window of births
         D = model.delay_family.max_delay
         for s in range(13):
-            window = rec.x[max(0, s - D):s + 1].sum()
-            assert rec.y[s, 0] == window
+            window = rec.x[0, max(0, s - D):s + 1].sum()
+            assert rec.y[0, s, 0] == window
 
     def test_symptomatic_window_identity(self, fib_model):
         # L = 3 for everyone: ill on [t, t+2]
         rec = simulate_replica(fib_model, 12, seed=13)
         for s in range(13):
-            window = rec.x[max(0, s - 2):s + 1].sum()
-            assert rec.z[s, 0] == window
+            window = rec.x[0, max(0, s - 2):s + 1].sum()
+            assert rec.z[0, s, 0] == window
         assert rec.y.sum() == 0
 
     def test_initial_vector_counts(self):
         model = make_fibonacci_model(initial=(3.0,))
         rec = simulate_replica(model, 0, seed=3)
-        assert rec.x[0, 0] == 3
+        assert rec.x[0, 0, 0] == 3
 
     def test_non_integer_initial_rejected(self):
         model = make_fibonacci_model(initial=(1.5,))
@@ -89,12 +92,12 @@ class TestSimulateReplica:
 
     def test_pop_cap_truncates(self, fib_model):
         rec = simulate_replica(fib_model, 20, seed=5, pop_cap=10)
-        assert rec.truncated
-        assert not rec.extinction_x.determined
+        assert rec.truncated[0]
+        assert not rec.extinction()[0][0, 0]
 
     def test_supercritical_usually_undetermined(self, fib_model):
         undetermined = sum(
-            not simulate_replica(fib_model, 10, seed=(100, k)).extinction_x.determined
+            not simulate_replica(fib_model, 10, seed=(100, k)).extinction()[0][0, 0]
             for k in range(30))
         assert undetermined >= 20  # survival probability is high for the golden model
 
@@ -111,7 +114,7 @@ class TestEnsemble:
         stats = ensemble(fib_model, 5, replicas=1, seed=19)
         assert stats.se_x is None
         rec = simulate_replica(fib_model, 5, seed=(19, 0))
-        assert np.array_equal(stats.mean_x, rec.x.astype(float))
+        assert np.array_equal(stats.mean_x, rec.x[0].astype(float))
 
     def test_subcritical_extinction_frequency(self):
         model = subcritical_model()
@@ -143,10 +146,11 @@ class TestBlocks:
     def test_replica_is_block_of_one(self, fib_model):
         rec = simulate_replica(fib_model, 9, seed=(5, 2))
         block = simulate_block(fib_model, 9, (5, 2), 1)
-        for name in "xzy":
-            assert np.array_equal(getattr(rec, name), getattr(block, name)[0])
-        det, _ = block.extinction()
-        assert rec.extinction_x.determined == det[0, 0]
+        assert isinstance(rec, ReplicaBlock) and rec.counts.shape == (1, 3, 10, 1)
+        for name in ("counts", "truncated"):
+            assert np.array_equal(getattr(rec, name), getattr(block, name))
+        for u, v in zip(rec.extinction(), block.extinction()):
+            assert np.array_equal(u, v)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 2), (1, 5), (3, 4)])
     def test_scalar_path_makes_the_same_draws(self, shape):
@@ -325,10 +329,10 @@ class TestExtinctionConsistency:
         report = extinction_consistency(records)
         assert report.ok
         D = model.delay_family.max_delay
-        both = [r for r in records
-                if r.extinction_x.determined and r.extinction_y.determined]
+        both = [time[:, 0] for det, time in (r.extinction() for r in records)
+                if det[0, 0] and det[2, 0]]
         assert both, "expected determined extinctions in a subcritical run"
-        assert all(r.extinction_y.time <= r.extinction_x.time + D for r in both)
+        assert all(t[2] <= t[0] + D for t in both)
 
     def test_all_asymptomatic_batch(self):
         model = asymptomatic_model()
@@ -336,5 +340,32 @@ class TestExtinctionConsistency:
         report = extinction_consistency(records)
         assert report.ok
         for rec in records:
-            if rec.extinction_z.determined:
-                assert rec.extinction_z.time == 0
+            det, time = rec.extinction()
+            if det[1, 0]:
+                assert time[1, 0] == 0
+
+    def test_reports_violation_numbered_across_blocks(self):
+        # S = 10, D = 2; the first block's middle row is truncated and skipped
+        first = ReplicaBlock(max_delay=2, counts=np.zeros((3, 3, 11, 1), dtype=np.int64),
+                             truncated=np.array([False, True, False]))
+        counts = np.zeros((2, 3, 11, 1), dtype=np.int64)
+        counts[1, 0, 0] = 1  # births only at t = 0 ...
+        counts[1, 2, 8] = 1  # ... but asymptomatic presence at t = 8
+        second = ReplicaBlock(max_delay=2, counts=counts, truncated=np.zeros(2, dtype=bool))
+        report = extinction_consistency([first, second])
+        assert not report.ok
+        assert report.replicas_checked == 4
+        assert report.violations == ("replica 4: T_Y = 9 > T_X + D = 3",)
+
+    def test_multi_row_blocks_with_truncation(self, monkeypatch):
+        model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(0.5, 0.0, 0.0, 0.5)))
+        horizon, replicas = 25, 150
+        # 40 rows per block: four blocks
+        monkeypatch.setattr(sim_mod, "BLOCK_BYTES", 40 * 48 * (horizon + 2))
+        blocks = list(replica_blocks(model, horizon, replicas, 83, pop_cap=200))
+        assert len(blocks) >= 3
+        truncated = sum(int(b.truncated.sum()) for b in blocks)
+        assert 0 < truncated < replicas
+        report = extinction_consistency(blocks)
+        assert report.ok
+        assert report.replicas_checked == replicas - truncated == summarize(blocks).replicas
