@@ -15,7 +15,10 @@ draws path steps i.i.d. from the step distribution beta.  Both multiply out
 their words through one kernel, ``_add_word_products``: words go in chunks
 of bounded size, each distinct prefix in a chunk is multiplied out once, and
 the products are summed in word order, so every sum is the one a per-word
-loop of matmuls gives, bit for bit, whatever the chunking.
+loop of matmuls gives, bit for bit, whatever the chunking.  The sampler
+draws its blocks in row slices, each from its block's Philox stream
+advanced to the slice's first row, so the estimate is the same for any
+slice size.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ ENUMERATION_S_CAP = 64
 KERNEL_S_CAP = 12
 WORD_CAP = 10 ** 6
 SAMPLING_BLOCK = 1 << 16
+SAMPLING_SLICE = 1 << 13  # rows drawn at once: a power of two from 4 to SAMPLING_BLOCK
 PRODUCT_CHUNK = 1 << 17  # doubles of word products held at once
 
 
@@ -308,14 +312,52 @@ def xi_by_enumeration(family, s: int):
     return total, per_r
 
 
-def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Number of entries of ``cdf`` at or below each u, the index
-    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u), in
-    the smallest unsigned type that also holds index + 1."""
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf)))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """``values[i]`` for the index i that ``Generator.choice`` draws for each
+    u: the number of entries of ``cdf`` at or below u (``cdf[-1]`` is 1,
+    above every u).  ``values`` ascend, and the result has their type; by
+    default they are the indices, in the smallest unsigned type that also
+    holds index + 1."""
+    if values is None:
+        values = np.arange(len(cdf), dtype=np.min_scalar_type(len(cdf)))
+    out = np.full(u.shape, values[0])
+    for c, rise in zip(cdf[:-1], np.diff(values)):
+        out += (u >= c) * rise
+    return out
+
+
+def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
+                  delays: np.ndarray, words: bool):
+    """Rows lo .. lo + rows - 1 of sampling block ``block``: their hit count,
+    or with ``words`` their hit words in row order.
+
+    The block's stream is advanced past its first lo rows of s doubles (a
+    Philox counter step gives 4, and lo is a multiple of SAMPLING_SLICE), so
+    a slice draws exactly the doubles the whole block holds at those rows.
+    ``delays`` has a type that holds s * max(delay), the largest running
+    total.
+    """
+    bits = Philox(SeedSequence((seed, block)))
+    bits.advance(lo * s // 4)
+    u = Generator(bits).random((rows, s))
+    # running totals over the steps transposed to one contiguous row per step
+    # number: at_s[j] marks the samples at s after step j + 1, and totals rise
+    # strictly, so a sample hits s at most once
+    at_s = np.empty((s, rows), dtype=bool)
+    total = np.zeros(rows, dtype=delays.dtype)
+    for step, at in zip(_inverse_cdf(u, cdf, delays).T.copy(), at_s):
+        total += step
+        np.equal(total, s, out=at)
+    if not words:
+        return np.count_nonzero(at_s)
+    # steps taken when each sample hits s, 0 for a miss
+    step_no = np.arange(1, s + 1, dtype=delays.dtype)
+    taken = (at_s * step_no[:, None]).sum(axis=0, dtype=delays.dtype)
+    hit = np.flatnonzero(taken)
+    # each hit word's symbols (delay index + 1) up to its last step, 0 after it
+    hit_words = _inverse_cdf(u[hit], cdf) + 1
+    hit_words *= step_no <= taken[hit, None]
+    return hit_words
 
 
 @dataclass(frozen=True)
@@ -337,9 +379,12 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     Samples are assigned to fixed 2^16-sample blocks.  Block b, holding m
     samples, draws m * s uniforms, row-major, from
     ``Philox(SeedSequence((seed, b)))`` and maps each through the inverse CDF
-    of beta (the draw ``Generator.choice`` makes), so the result does not
-    depend on how blocks are scheduled across workers.  Products are summed
-    in sample order, so it does not depend on the chunking either.
+    of beta (the draw ``Generator.choice`` makes).  A block is drawn in
+    slices of ``SAMPLING_SLICE`` rows, each from the block's stream advanced
+    to its first row, so a slice holds the same doubles as the whole block
+    at those rows and its arrays stay small.  One-type hit counts are summed
+    as integers, and multi-type hit words are multiplied out in sample order
+    whatever the chunking, so the result does not depend on the slice size.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -350,7 +395,7 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     if s == 0:
         return SamplingEstimate(np.eye(n), np.zeros((n, n)), n_samples)
 
-    delays = np.array(family.delays)
+    delays = np.array(family.delays, dtype=np.min_scalar_type(s * max(family.delays)))
     probs = np.array([mal.beta[d] for d in family.delays])
     cdf = np.cumsum(probs / probs.sum())
     cdf /= cdf[-1]
@@ -358,22 +403,18 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
 
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))
-    for block_idx, lo in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
-        b = min(SAMPLING_BLOCK, n_samples - lo)
-        idx = _inverse_cdf(Generator(Philox(SeedSequence((seed, block_idx)))).random((b, s)), cdf)
-        # partial sums rise strictly, so a row hits s at most once
-        csum = delays[idx]
-        at_s = np.cumsum(csum, axis=1, out=csum) == s
+    for block, first in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
+        rows = min(SAMPLING_BLOCK, n_samples - first)
+        parts = [_sample_slice(seed, block, lo, min(SAMPLING_SLICE, rows - lo), s, cdf, delays,
+                               norm is not None)
+                 for lo in range(0, rows, SAMPLING_SLICE)]
         if norm is None:
             # normalized 1x1 products are identically 1
-            hits = np.count_nonzero(at_s)
+            hits = sum(parts)
             sums[0, 0] += hits
             sq_sums[0, 0] += hits
         else:
-            # each hit word's symbols up to its last step, 0 after it
-            rows, last = np.divmod(np.flatnonzero(at_s), s)
-            words = np.where(np.arange(s) <= last[:, None], idx[rows] + 1, 0)
-            _add_word_products(norm, words, sums[None], sq_sums[None])
+            _add_word_products(norm, np.concatenate(parts), sums[None], sq_sums[None])
 
     scale = math.exp(mal.theta * s)
     mean = sums / n_samples

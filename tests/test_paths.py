@@ -402,3 +402,34 @@ class TestSamplingMatchesLoop:
                 len(probs), size=(300, 7), p=probs)
             u = Generator(Philox(SeedSequence((seed, 0)))).random((300, 7))
             assert np.array_equal(_inverse_cdf(u, cdf), expect)
+
+
+class TestSamplingSlices:
+    """Slices of a block, each drawn from the block's stream advanced to its
+    first row, give the per-row loop's arrays."""
+
+    _check = TestSamplingMatchesLoop._check
+
+    @pytest.mark.parametrize("rows", [4, 2 ** 10, 2 ** 16])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_any_slice_size(self, monkeypatch, n, rows):
+        monkeypatch.setattr(paths, "SAMPLING_SLICE", rows)
+        self._check(n, (1, 2, 4), 9, 3001, seed=21)
+
+    @pytest.mark.parametrize("n,n_samples", [(1, 4000), (2, 600)])
+    def test_long_walks(self, n, n_samples):
+        # totals reach s * max(delay) = 500, past what s + max(delay) = 105 sizes
+        self._check(n, (1, 5), 100, n_samples, seed=22)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_short_last_slice_in_second_block(self, monkeypatch, n):
+        monkeypatch.setattr(paths, "SAMPLING_SLICE", 2 ** 10)
+        self._check(n, (1, 2), 4, SAMPLING_BLOCK + 2 ** 10 + 37, seed=23)
+
+    def test_slices_match_the_whole_block(self):
+        for s in (12, 7):
+            whole = Generator(Philox(SeedSequence((24, 1)))).random((SAMPLING_BLOCK, s))
+            for lo, rows in ((0, 4), (8, 1000), (SAMPLING_BLOCK - 4, 4)):
+                bits = Philox(SeedSequence((24, 1)))
+                bits.advance(lo * s // 4)
+                assert np.array_equal(Generator(bits).random((rows, s)), whole[lo:lo + rows])
