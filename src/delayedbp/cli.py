@@ -207,11 +207,6 @@ def emit_json(obj, indent: int = 0) -> str:
             f'{pad}  {json.dumps(str(k))}: {emit_json(v, indent + 1)}'
             for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        # a float array is formatted one last-axis row at a time
-        rows = (map(_fmt_float, obj.tolist()) if obj.ndim == 1
-                else (emit_json(row, indent) for row in obj))
-        return "[" + ", ".join(rows) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         return "[" + ", ".join(emit_json(v, indent) for v in seq) + "]"

@@ -312,18 +312,14 @@ def xi_by_enumeration(family, s: int):
     return total, per_r
 
 
-def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
-    """``values[i]`` for the index i that ``Generator.choice`` draws for each
-    u: the number of entries of ``cdf`` at or below u (``cdf[-1]`` is 1,
-    above every u).  ``values`` ascend, and the result has their type; by
-    default they are the indices, in the smallest unsigned type that also
-    holds index + 1."""
-    if values is None:
-        values = np.arange(len(cdf), dtype=np.min_scalar_type(len(cdf)))
-    out = np.full(u.shape, values[0])
-    for c, rise in zip(cdf[:-1], np.diff(values)):
-        out += (u >= c) * rise
-    return out
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Number of entries of ``cdf`` at or below each u, the index
+    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u), in
+    the smallest unsigned type that also holds index + 1."""
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf)))
+    for c in cdf[:-1]:
+        idx += u >= c
+    return idx
 
 
 def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
@@ -339,13 +335,13 @@ def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
     """
     bits = Philox(SeedSequence((seed, block)))
     bits.advance(lo * s // 4)
-    u = Generator(bits).random((rows, s))
-    # running totals over the steps transposed to one contiguous row per step
+    idx = _inverse_cdf(Generator(bits).random((rows, s)), cdf)
+    # running totals over the steps, gathered into one contiguous row per step
     # number: at_s[j] marks the samples at s after step j + 1, and totals rise
     # strictly, so a sample hits s at most once
     at_s = np.empty((s, rows), dtype=bool)
     total = np.zeros(rows, dtype=delays.dtype)
-    for step, at in zip(_inverse_cdf(u, cdf, delays).T.copy(), at_s):
+    for step, at in zip(np.take(delays, idx.T), at_s):
         total += step
         np.equal(total, s, out=at)
     if not words:
@@ -355,7 +351,7 @@ def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
     taken = (at_s * step_no[:, None]).sum(axis=0, dtype=delays.dtype)
     hit = np.flatnonzero(taken)
     # each hit word's symbols (delay index + 1) up to its last step, 0 after it
-    hit_words = _inverse_cdf(u[hit], cdf) + 1
+    hit_words = idx[hit] + 1
     hit_words *= step_no <= taken[hit, None]
     return hit_words
 

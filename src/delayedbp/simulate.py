@@ -31,7 +31,6 @@ not depend on how blocks are scheduled.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -153,7 +152,7 @@ def simulate_block(model, horizon: int, seed, rows: int,
                 alive = cohort[:, None]
                 if dies:
                     ages = min(D, S - t)
-                    dead = _binomial(rng, life[..., 1:ages + 1], death[:ages]).cumsum(axis=-1)
+                    dead = rng.binomial(life[..., 1:ages + 1], death[:ages]).cumsum(axis=-1)
                     alive = alive - dead[..., [d - 1 for d in delays[:m]]].transpose(0, 2, 1)
                 if total > pop_cap:  # truncated rows produce no more offspring
                     alive = alive * (x.sum(axis=(1, 2)) <= pop_cap)[:, None, None]
@@ -179,16 +178,6 @@ def _multinomial(rng, n: np.ndarray, pvals: np.ndarray) -> np.ndarray:
         return np.array([rng.multinomial(c, pvals) for c in n.ravel().tolist()],
                         dtype=np.int64).reshape(n.shape + pvals.shape)
     return rng.multinomial(n, pvals)
-
-
-def _binomial(rng, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``rng.binomial(n, p)`` for an integer array n and 1-d p along its last
-    axis."""
-    if n.size <= _SCALAR_DRAWS:
-        # broadcast C order: p cycles along n's last axis
-        pairs = zip(n.ravel().tolist(), itertools.cycle(p.tolist()))
-        return np.array([rng.binomial(c, q) for c, q in pairs], dtype=np.int64).reshape(n.shape)
-    return rng.binomial(n, p)
 
 
 def _poisson(rng, lam: np.ndarray) -> np.ndarray:

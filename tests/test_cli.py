@@ -91,13 +91,6 @@ class TestEmitJson:
         back = json.loads(text)
         assert back == {"a": [1.0, 0.5], "b": None, "c": True}
 
-    def test_float_arrays_format_as_their_lists(self):
-        rng = np.random.default_rng(7)
-        for arr in (rng.normal(size=5), rng.normal(size=(3, 4)), rng.normal(size=(2, 3, 2)),
-                    np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324]),
-                    rng.normal(size=(2, 3)).astype(np.float32), np.zeros((2, 0))):
-            assert emit_json({"a": arr}) == emit_json({"a": arr.tolist()})
-
 
 class TestDispatch:
     def test_validate(self, fib_config, capsys):

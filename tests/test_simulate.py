@@ -8,7 +8,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
                        OffspringLaw, censored_mean_matrices, ensemble,
                        evolve_means, extinction_consistency, simulate_replica)
-from delayedbp.simulate import (BLOCK_BYTES, ReplicaBlock, _binomial, _multinomial, _poisson,
+from delayedbp.simulate import (BLOCK_BYTES, ReplicaBlock, _multinomial, _poisson,
                                 block_rows, replica_blocks, simulate_block, summarize)
 from delayedbp import simulate as sim_mod
 from conftest import make_fibonacci_model
@@ -162,12 +162,10 @@ class TestBlocks:
         for _ in range(20):
             n = rng.integers(0, 400, size=shape)
             lam = rng.uniform(0.0, 50.0, size=shape)
-            probs = rng.uniform(0.0, 1.0, size=shape[-1])
             got = _multinomial(a, n, pvals)
             assert got.shape == shape + (5,)
             assert np.array_equal(got, b.multinomial(n, pvals))
             assert np.array_equal(_poisson(a, lam), b.poisson(lam))
-            assert np.array_equal(_binomial(a, n, probs), b.binomial(n, probs))
 
     def test_block_rows_bounded(self):
         for horizon, n in ((0, 1), (10, 1), (60, 3), (4000, 1), (10 ** 6, 50)):
