@@ -16,9 +16,8 @@ their words through one kernel, ``_add_word_products``: words go in chunks
 of bounded size, each distinct prefix in a chunk is multiplied out once, and
 the products are summed in word order, so every sum is the one a per-word
 loop of matmuls gives, bit for bit, whatever the chunking.  The sampler
-draws its blocks in row slices, each from its block's Philox stream
-advanced to the slice's first row, so the estimate is the same for any
-slice size.
+draws each block's Philox stream in consecutive row slices, so the
+estimate is the same for any slice size.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ ENUMERATION_S_CAP = 64
 KERNEL_S_CAP = 12
 WORD_CAP = 10 ** 6
 SAMPLING_BLOCK = 1 << 16
-SAMPLING_SLICE = 1 << 13  # rows drawn at once: a power of two from 4 to SAMPLING_BLOCK
+SAMPLING_SLICE = 1 << 13  # sampler rows drawn at once; any size gives the same doubles
 PRODUCT_CHUNK = 1 << 17  # doubles of word products held at once
 
 
@@ -312,36 +311,33 @@ def xi_by_enumeration(family, s: int):
     return total, per_r
 
 
-def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Number of entries of ``cdf`` at or below each u, the index
-    ``Generator.choice`` draws for u (``cdf[-1]`` is 1, above every u), in
-    the smallest unsigned type that also holds index + 1."""
-    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf)))
-    for c in cdf[:-1]:
-        idx += u >= c
-    return idx
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """``values[i]`` for the index i that ``Generator.choice`` draws for each
+    u: the number of entries of ``cdf`` at or below u (``cdf[-1]`` is 1,
+    above every u).  ``values`` ascend, and the result has their type; by
+    default they are the indices, in the smallest unsigned type that also
+    holds index + 1."""
+    if values is None:
+        values = np.arange(len(cdf), dtype=np.min_scalar_type(len(cdf)))
+    out = np.full(u.shape, values[0])
+    for c, rise in zip(cdf[:-1], np.diff(values)):
+        out += (u >= c) * rise
+    return out
 
 
-def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
-                  delays: np.ndarray, words: bool):
-    """Rows lo .. lo + rows - 1 of sampling block ``block``: their hit count,
-    or with ``words`` their hit words in row order.
-
-    The block's stream is advanced past its first lo rows of s doubles (a
-    Philox counter step gives 4, and lo is a multiple of SAMPLING_SLICE), so
-    a slice draws exactly the doubles the whole block holds at those rows.
-    ``delays`` has a type that holds s * max(delay), the largest running
-    total.
-    """
-    bits = Philox(SeedSequence((seed, block)))
-    bits.advance(lo * s // 4)
-    idx = _inverse_cdf(Generator(bits).random((rows, s)), cdf)
-    # running totals over the steps, gathered into one contiguous row per step
-    # number: at_s[j] marks the samples at s after step j + 1, and totals rise
+def _sample_slice(rng: Generator, rows: int, s: int, cdf: np.ndarray, delays: np.ndarray,
+                  words: bool):
+    """The next ``rows`` samples of ``rng``'s stream, s uniforms each: their
+    hit count, or with ``words`` their hit words in row order.  ``delays``
+    has a type that holds s * max(delay), the largest running total."""
+    u = rng.random((rows, s))
+    # running totals over the steps, mapped straight to delays and transposed
+    # to one contiguous row per step number (cheaper than gathering delays by
+    # index): at_s[j] marks the samples at s after step j + 1, and totals rise
     # strictly, so a sample hits s at most once
     at_s = np.empty((s, rows), dtype=bool)
     total = np.zeros(rows, dtype=delays.dtype)
-    for step, at in zip(np.take(delays, idx.T), at_s):
+    for step, at in zip(_inverse_cdf(u, cdf, delays).T.copy(), at_s):
         total += step
         np.equal(total, s, out=at)
     if not words:
@@ -351,7 +347,7 @@ def _sample_slice(seed, block: int, lo: int, rows: int, s: int, cdf: np.ndarray,
     taken = (at_s * step_no[:, None]).sum(axis=0, dtype=delays.dtype)
     hit = np.flatnonzero(taken)
     # each hit word's symbols (delay index + 1) up to its last step, 0 after it
-    hit_words = idx[hit] + 1
+    hit_words = _inverse_cdf(u[hit], cdf) + 1
     hit_words *= step_no <= taken[hit, None]
     return hit_words
 
@@ -376,9 +372,9 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     samples, draws m * s uniforms, row-major, from
     ``Philox(SeedSequence((seed, b)))`` and maps each through the inverse CDF
     of beta (the draw ``Generator.choice`` makes).  A block is drawn in
-    slices of ``SAMPLING_SLICE`` rows, each from the block's stream advanced
-    to its first row, so a slice holds the same doubles as the whole block
-    at those rows and its arrays stay small.  One-type hit counts are summed
+    consecutive slices of ``SAMPLING_SLICE`` rows from its one stream, so a
+    slice holds the same doubles as the whole block at those rows and its
+    arrays stay small.  One-type hit counts are summed
     as integers, and multi-type hit words are multiplied out in sample order
     whatever the chunking, so the result does not depend on the slice size.
     """
@@ -401,7 +397,8 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     sq_sums = np.zeros((n, n))
     for block, first in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
         rows = min(SAMPLING_BLOCK, n_samples - first)
-        parts = [_sample_slice(seed, block, lo, min(SAMPLING_SLICE, rows - lo), s, cdf, delays,
+        rng = Generator(Philox(SeedSequence((seed, block))))
+        parts = [_sample_slice(rng, min(SAMPLING_SLICE, rows - lo), s, cdf, delays,
                                norm is not None)
                  for lo in range(0, rows, SAMPLING_SLICE)]
         if norm is None:

@@ -405,12 +405,12 @@ class TestSamplingMatchesLoop:
 
 
 class TestSamplingSlices:
-    """Slices of a block, each drawn from the block's stream advanced to its
-    first row, give the per-row loop's arrays."""
+    """A block drawn in consecutive slices of its stream gives the per-row
+    loop's arrays."""
 
     _check = TestSamplingMatchesLoop._check
 
-    @pytest.mark.parametrize("rows", [4, 2 ** 10, 2 ** 16])
+    @pytest.mark.parametrize("rows", [4, 7, 2 ** 10, 2 ** 16])
     @pytest.mark.parametrize("n", [1, 3])
     def test_any_slice_size(self, monkeypatch, n, rows):
         monkeypatch.setattr(paths, "SAMPLING_SLICE", rows)
@@ -427,9 +427,11 @@ class TestSamplingSlices:
         self._check(n, (1, 2), 4, SAMPLING_BLOCK + 2 ** 10 + 37, seed=23)
 
     def test_slices_match_the_whole_block(self):
+        # Philox yields 4 doubles per counter step; slices of 1, 3 and 1000
+        # rows of 7 cut inside a step, and the next draw resumes there
         for s in (12, 7):
             whole = Generator(Philox(SeedSequence((24, 1)))).random((SAMPLING_BLOCK, s))
-            for lo, rows in ((0, 4), (8, 1000), (SAMPLING_BLOCK - 4, 4)):
-                bits = Philox(SeedSequence((24, 1)))
-                bits.advance(lo * s // 4)
-                assert np.array_equal(Generator(bits).random((rows, s)), whole[lo:lo + rows])
+            rng = Generator(Philox(SeedSequence((24, 1))))
+            sizes = (1, 3, 1000, SAMPLING_BLOCK - 1004)
+            parts = [rng.random((rows, s)) for rows in sizes]
+            assert np.array_equal(np.concatenate(parts), whole)
