@@ -8,14 +8,14 @@ solver never builds that matrix: its P-F vectors are closed forms in the
 mixture's pair at the root, and ``companion_residual`` is the certified
 Collatz-Wielandt bound on |rho_hat - r(companion)| they give, not a second
 eigenvalue solve.  Here the dense matrix is built once, as an oracle, and
-in the critical regime the closed-form pair pins down the finite limit of
-the mean incidence.
+in the critical regime the renewal limit of ``theorem_limits``, built from
+the same pair, is the finite limit of the mean incidence.
 """
 
 import numpy as np
 
 from delayedbp import (LifetimeLaw, MeanMatrixFamily, build_companion,
-                       critical_limit, evolve_means, solve_malthusian)
+                       evolve_means, solve_malthusian, theorem_limits)
 
 # --- golden-ratio family: companion is the Fibonacci matrix -----------------
 fib = MeanMatrixFamily((1, 2), (np.array([[1.0]]), np.array([[1.0]])))
@@ -41,8 +41,8 @@ model = ModelSpec(
 sol = solve_malthusian(half)
 print(f"\ncritical model: theta = {sol.theta:.2e}, regime = {sol.regime}")
 
-limit = critical_limit(model, half)
-print("companion-based limit of E[X(s)]:", limit)
+limit = theorem_limits(model, half, sol).limit_x
+print("renewal limit of E[X(s)]:", limit)
 
 traj = evolve_means(model, half, 40, sol)
 print("\n s   E[X(s)]")

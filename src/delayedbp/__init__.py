@@ -14,8 +14,8 @@ from .errors import (AllTruncatedError, BetaNotNormalizedError,
                      BracketFailureError, CapExceededError, DelayedBPError,
                      DegenerateDenominatorError, DuplicateDelayError,
                      HorizonTooLargeError, NegativeEntryError,
-                     NoConvergenceError, NonIrreducibleError, NotCriticalError,
-                     NotSharedError, NotStochasticError, SchemaError,
+                     NoConvergenceError, NonIrreducibleError,
+                     NotStochasticError, PeriodicFamilyError, SchemaError,
                      TailDivergesError)
 from .model import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
                     OffspringLaw, ValidationReport, censored_mean_matrices,
@@ -23,10 +23,10 @@ from .model import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
 from .spectral import (PFData, SharedPFReport, commute_check,
                        construct_shared_family,
                        construct_shared_family_reversed, family_pf,
-                       is_irreducible, normalized_word_product, pf_decompose,
-                       shared_pf_check, weight_ratio)
+                       is_irreducible, normalized_word_product, period,
+                       pf_decompose, shared_pf_check, weight_ratio)
 from .malthusian import (CompanionSystem, MalthusianSolution, build_companion,
-                         critical_limit, mixture_matrix, solve_malthusian)
+                         mixture_matrix, solve_malthusian)
 from .recursion import (LimitReport, MeanTrajectory, age_distribution,
                         evolve_means, stationary_check, theorem_limits,
                         xi_kernel)

@@ -510,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=_at_least(0), required=True)
 
-    p = add("limits", _cmd_limits, help="closed-form limits for shared families")
+    p = add("limits", _cmd_limits, help="closed-form limits of the weighted means")
     p.add_argument("--config", required=True)
     p.add_argument("--horizon", type=_at_least(0), default=400)
 

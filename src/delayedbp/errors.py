@@ -58,14 +58,13 @@ class BracketFailureError(DelayedBPError):
     """No sign change for the growth-rate equation inside [1e-9, 1e9]."""
 
 
-class NotCriticalError(DelayedBPError):
-    def __init__(self, theta):
-        self.theta = theta
-        super().__init__(f"growth exponent {theta!r} is not within the critical band")
+class PeriodicFamilyError(DelayedBPError):
+    """The family's cycle lengths have a common divisor above one: the
+    weighted means oscillate over residues of that period and have no limit."""
 
-
-class NotSharedError(DelayedBPError):
-    """The matrix family does not share Perron-Frobenius eigenvectors."""
+    def __init__(self, period):
+        self.period = period
+        super().__init__(f"the family has period {period}; the weighted means have no limit")
 
 
 class TailDivergesError(DelayedBPError):

@@ -7,8 +7,7 @@ space {1..D} x types, which turns the delayed process into an ordinary
 multi-type branching process.  The companion's P-F vectors are closed forms
 in the mixture's pair (h, nu) at the root, so no D*n matrix is needed: the
 left vector nu_c(d) = rho_hat^{-(d-1)} nu gives a Collatz-Wielandt bound on
-|rho_hat - r(companion)|, reported as ``companion_residual``, and in the
-critical case both vectors yield the finite limit of the mean incidence.
+|rho_hat - r(companion)|, reported as ``companion_residual``.
 The dense companion (``build_companion``) is kept as an oracle for tests.
 """
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, NotCriticalError
+from .errors import BracketFailureError
 from .spectral import PFData, family_pf, matrix_inf_norm, pf_decompose
 
 RHO_MIN = 1e-9
@@ -213,31 +212,3 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
         pf=per_delay,
         warnings=tuple(warns),
     )
-
-
-def critical_limit(model, family, crit_tol: float = 1e-9) -> np.ndarray:
-    """Finite limit of E[X(s)] in the critical regime.
-
-    The companion process at time D - 1 holds the first window of mean
-    incidence, z(e) = E[X(D - e)] at age e.  It tends to (z'h_c / nu_c'h_c)
-    nu_c, whose age-D block is the limit, with the companion's P-F vectors
-    in closed form in the mixture's pair: nu_c(e) = rho_hat^{-(e-1)} nu and
-    h_c(e) = sum_{d >= e} rho_hat^{-(d-e+1)} M_d h.  Grouped by delay,
-    z'h_c = sum_d sum_{e <= d} rho_hat^{-(d-e+1)} z(e)' M_d h and
-    nu_c'h_c = sum_d d rho_hat^{-d} nu' M_d h.
-    """
-    from .recursion import evolve_means
-
-    mal = solve_malthusian(family)
-    if abs(mal.theta) > crit_tol:
-        raise NotCriticalError(mal.theta)
-
-    D = family.max_delay
-    ex = evolve_means(model, family, horizon=D - 1, mal=mal).ex
-    num = den = 0.0
-    for d, mat in family.items():
-        ages = np.arange(1, d + 1)
-        mh = mat @ mal.h
-        num += float(np.exp(-mal.theta * (d + 1 - ages)) @ ex[D - ages] @ mh)
-        den += d * math.exp(-mal.theta * d) * float(mal.nu @ mh)
-    return num / den * math.exp(-mal.theta * (D - 1)) * mal.nu

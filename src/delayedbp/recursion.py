@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, HorizonTooLargeError, NotSharedError
+from .errors import DegenerateDenominatorError, HorizonTooLargeError, PeriodicFamilyError
 from .malthusian import MalthusianSolution, solve_malthusian
-from .spectral import sharing_report
+from .spectral import period
 
 OVERFLOW_LIMIT = 1e300
 
@@ -135,7 +135,7 @@ def xi_kernel(family, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Closed-form limits of the weighted mean processes for shared families."""
+    """Closed-form limits of the weighted mean processes."""
 
     limit_x: np.ndarray
     limit_z: np.ndarray
@@ -146,11 +146,12 @@ class LimitReport:
     horizon: int
 
 
-def theorem_limits(model, family, mal: MalthusianSolution,
-                   horizon: int = 400, shared_tol: float = 1e-8) -> LimitReport:
+def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -> LimitReport:
     """Evaluate the limit formulas and measure the gap to the trajectory.
 
-    With g = (E[X(0)]'h) / mu(beta):
+    With (h, nu) = (``mal.h``, ``mal.nu``), the P-F pair of the mixture
+    sum_d e^{-theta d} M_d at the root, the renewal theorem gives
+    g = (E[X(0)]'h) / (nu' sum_d d e^{-theta d} M_d h), and:
 
     limit_x = g nu
     limit_z = g (sum_{c>=0} P(L>c) e^{-theta c}) nu
@@ -159,25 +160,27 @@ def theorem_limits(model, family, mal: MalthusianSolution,
     These are the exact limits of the weighted convolutions
     E[Z(s)] = sum_c E[X(s-c)] P(L>c) and
     E[Y(s)] = P(L=0) sum_{c=0}^{D} E[X(s-c)]; the window factor for Y
-    collapses to D+1 in the critical case (theta = 0).
+    collapses to D+1 in the critical case (theta = 0).  For families
+    sharing P-F eigenvectors nu' M_d h = rho_d, so the denominator is
+    mu(beta) and g is the paper's constant.
 
-    Requires the family to share P-F eigenvectors, judged on the per-delay
-    P-F data ``mal.pf`` solved with the root; in the subcritical regime
-    the lifetime series must converge (geometric tail ratio below
-    exp(theta)), otherwise TailDivergesError propagates from the series.
+    Holds for every aperiodic family; a family whose cycle lengths have a
+    common divisor above one raises PeriodicFamilyError.  In the
+    subcritical regime the lifetime series must converge (geometric tail
+    ratio below exp(theta)), otherwise TailDivergesError propagates from
+    the series.
     """
-    rep = sharing_report(family, mal.pf, shared_tol)
-    if not rep.shared:
-        raise NotSharedError(
-            f"max eigenvector deviation {rep.max_deviation!r} exceeds {shared_tol!r}")
-    h, nu = rep.h, rep.nu
+    p = period(family)
+    if p > 1:
+        raise PeriodicFamilyError(p)
+    h, nu = mal.h, mal.nu
     theta = mal.theta
-    mu = mal.mu_beta
     lt = model.lifetime
     x0 = model.initial_mean_vector()
     D = family.max_delay
 
-    g = float(x0 @ h) / mu
+    g = float(x0 @ h) / math.fsum(d * math.exp(-theta * d) * float(nu @ mat @ h)
+                                  for d, mat in family.items())
     series = lt.weighted_survival_series(theta)
     window = math.fsum(math.exp(-theta * c) for c in range(D + 1))
     limit_x = g * nu
@@ -228,18 +231,17 @@ def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarr
 def stationary_check(family, mal: MalthusianSolution) -> float:
     """Residual of the stationary type profile under the mean evolution.
 
-    Seeds the first window with nu' rho_hat^(s-D), where nu = ``mal.nu`` is
-    the left P-F eigenvector of the mixture matrix at rho_hat, evolves one
-    further window and returns the worst infinity-norm deviation of the type
-    proportions from nu.  For families sharing P-F eigenvectors this is zero
-    up to rounding.  Centering the powers on s = D keeps every entry within
-    rho_hat^(+-D), inside the overflow guard for any bracketed rho_hat when
-    D <= 33.
+    Seeds the first window with nu = ``mal.nu``, the left P-F eigenvector of
+    the mixture sum_d e^{-theta d} M_d at the root, evolves one further
+    window of the weighted means and returns the worst infinity-norm
+    deviation of the type proportions from nu.  Since
+    nu' sum_d e^{-theta d} M_d = nu' for every family, this is zero up to
+    rounding, and the weighted rows stay near nu whatever rho_hat and D are.
     """
-    rho, nu = mal.rho_hat, mal.nu
+    nu = mal.nu
     D = family.max_delay
     window = np.zeros((2 * D + 1, family.n_types))
-    window[:D] = [nu * rho ** (s - D) for s in range(D)]
-    _renew(family, window, start=D)
+    window[:D] = nu
+    _renew(family, window, start=D, theta=mal.theta)
     props = window[D:] / window[D:].sum(axis=1, keepdims=True)
     return float(np.max(np.abs(props - nu)))

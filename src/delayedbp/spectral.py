@@ -55,6 +55,30 @@ def is_irreducible(m: np.ndarray) -> bool:
     return reaches_all(adj) and reaches_all(adj.T)
 
 
+def period(family) -> int:
+    """The gcd of the cycle lengths of the family's graph, which has an edge
+    i -> j of length d wherever M_d(i, j) > 0; 1 means aperiodic.
+
+    A frontier search from type 0 records one path length dist(j) to every
+    type.  Every cycle length is a sum of the edge defects
+    dist(i) + d - dist(j), and every defect is the difference of the lengths
+    of two closed walks through type 0, so the gcd of the defects is the
+    period.  The graph must be strongly connected, as it is when any M_d is
+    irreducible.
+    """
+    edges = [(d, mat > 0) for d, mat in family.items()]
+    dist = np.full(family.n_types, -1, dtype=np.int64)
+    dist[0] = 0
+    frontier = np.array([0])
+    while frontier.size:
+        reach = np.max([np.where(adj[frontier], dist[frontier, None] + d, -1).max(axis=0)
+                        for d, adj in edges], axis=0)
+        frontier = np.flatnonzero((dist < 0) & (reach >= 0))
+        dist[frontier] = reach[frontier]
+    return int(np.gcd.reduce(np.concatenate(
+        [np.abs(dist[:, None] + d - dist)[adj] for d, adj in edges])))
+
+
 @dataclass(frozen=True)
 class PFData:
     """P-F eigenvalue and eigenvectors, normalized nu'1 = 1 and nu'h = 1."""
@@ -164,12 +188,7 @@ def shared_pf_check(family, tol: float = SHARING_TOL,
     one computed at the smallest delay; no pair is reported when sharing
     fails.  The per-delay P-F data behind the test is reported as ``pf``.
     """
-    return sharing_report(family, family_pf(family, pf_tol), tol)
-
-
-def sharing_report(family, pf: dict[int, PFData], tol: float = SHARING_TOL) -> SharedPFReport:
-    """``shared_pf_check`` on per-delay P-F data already solved, such as
-    ``MalthusianSolution.pf``."""
+    pf = family_pf(family, pf_tol)
     base = family.delays[0]
     h0, nu0 = pf[base].h, pf[base].nu
     dev = max(max(float(np.max(np.abs(p.h - h0))), float(np.max(np.abs(p.nu - nu0))))

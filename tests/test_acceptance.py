@@ -12,7 +12,7 @@ import numpy as np
 
 from delayedbp import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
                        OffspringLaw, age_distribution, censored_mean_matrices,
-                       critical_limit, ensemble, evolve_means,
+                       ensemble, evolve_means,
                        extinction_consistency, family_pf,
                        normalized_word_product, run_fraction, shared_pf_check,
                        simulate_replica, solve_malthusian, stationary_check,
@@ -247,7 +247,7 @@ def test_criterion_11_sampling_estimator(fib_family):
 def test_criterion_12_critical_constant():
     fam1 = MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
     model1 = poisson_model_from_family(fam1, LifetimeLaw(pmf=(0.0, 1.0)))
-    lim1 = critical_limit(model1, fam1)
+    lim1 = theorem_limits(model1, fam1, solve_malthusian(fam1)).limit_x
     traj1 = evolve_means(model1, fam1, 200)
     assert np.max(np.abs(traj1.ex[200] - lim1)) <= 1e-6
 
@@ -255,7 +255,7 @@ def test_criterion_12_critical_constant():
     fam2, _, _, _ = make_shared_family(rng, 2, (1, 2), rho_values=(0.5, 0.5),
                                        mix=0.6)
     model2 = poisson_model_from_family(fam2, LifetimeLaw(pmf=(0.0, 1.0)))
-    lim2 = critical_limit(model2, fam2)
+    lim2 = theorem_limits(model2, fam2, solve_malthusian(fam2)).limit_x
     traj2 = evolve_means(model2, fam2, 200)
     assert np.max(np.abs(traj2.ex[200] - lim2)) <= 1e-6
     _report("12 critical-regime limit matches the recursion tail")

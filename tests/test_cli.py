@@ -12,7 +12,8 @@ from delayedbp import malthusian as mal_mod
 from delayedbp import simulate as sim_mod
 from delayedbp import spectral as spec_mod
 from delayedbp.cli import dispatch, emit_json, model_to_config, parse_config
-from conftest import PHI, make_shared_family, poisson_model_from_family
+from conftest import (PHI, make_shared_family, poisson_model_from_family,
+                      random_positive_family)
 
 FIB_CONFIG = {
     "types": ["a"],
@@ -117,6 +118,28 @@ class TestDispatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["limit_x"][0] == pytest.approx(PHI / math.sqrt(5), abs=1e-9)
         assert doc["type_limit"] == [1.0]
+
+    @pytest.mark.parametrize("delays, mat", [((2, 4), [[0.5]]),
+                                             ((1, 3), [[0.0, 0.5], [0.5, 0.0]])])
+    def test_limits_periodic_family(self, delays, mat, tmp_path, capsys):
+        doc = {"types": [f"t{i}" for i in range(len(mat))], "delays": list(delays),
+               "offspring": {"kind": "poisson", "means": {str(d): mat for d in delays}},
+               "lifetime": {"pmf": [0.0, 1.0]}, "initial": 0}
+        path = tmp_path / "periodic.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["limits", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:PeriodicFamilyError:")
+
+    def test_limits_non_shared_family(self, tmp_path, capsys):
+        fam = random_positive_family(np.random.default_rng(151), 5, (1, 2, 3))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.2, 0.3, 0.5)))
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(model_to_config(model)))
+        assert dispatch(["spectral", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["shared"]["shared"] is False
+        assert dispatch(["limits", "--config", str(path), "--horizon", "600"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert max(doc["empirical_gap"].values()) <= 1e-10
 
     def test_paths_run_fraction(self, fib_config, capsys):
         assert dispatch(["paths", "--config", fib_config, "--s", "4",

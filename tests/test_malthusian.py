@@ -10,9 +10,9 @@ import delayedbp
 from delayedbp import malthusian
 from delayedbp.cli import dispatch, model_to_config
 from delayedbp import (BracketFailureError, LifetimeLaw, MeanMatrixFamily,
-                       NotCriticalError, build_companion, critical_limit,
-                       evolve_means, mixture_matrix, pf_decompose,
-                       solve_malthusian, stationary_check)
+                       build_companion, evolve_means, mixture_matrix,
+                       pf_decompose, solve_malthusian, stationary_check,
+                       theorem_limits)
 from conftest import (PHI, make_shared_family, poisson_model_from_family,
                       random_positive_family)
 
@@ -164,18 +164,23 @@ class TestCompanion:
             assert sol.companion_residual <= 1e-9
 
 
+def _critical_limit(model, fam):
+    """The renewal limit of E[X(s)], which is unweighted when theta = 0."""
+    return theorem_limits(model, fam, solve_malthusian(fam)).limit_x
+
+
 class TestCriticalLimit:
     def test_trivial_single_delay(self):
         fam = MeanMatrixFamily((1,), (np.array([[1.0]]),))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
-        limit = critical_limit(model, fam)
+        limit = _critical_limit(model, fam)
         assert limit == pytest.approx([1.0], abs=1e-10)
 
     def test_renewal_long_run_value(self):
         # one type, delays {1, 2}, both means 1/2: theta = 0, limit = 1/mu = 2/3
         fam = MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
-        limit = critical_limit(model, fam)
+        limit = _critical_limit(model, fam)
         assert limit == pytest.approx([2.0 / 3.0], abs=1e-12)
         traj = evolve_means(model, fam, 200)
         assert traj.ex[200] == pytest.approx(limit, abs=1e-6)
@@ -184,13 +189,9 @@ class TestCriticalLimit:
         rng = np.random.default_rng(83)
         fam, _, _, _ = make_shared_family(rng, 2, (1, 2), rho_values=(0.4, 0.6))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
-        limit = critical_limit(model, fam)
+        limit = _critical_limit(model, fam)
         traj = evolve_means(model, fam, 200)
         assert np.max(np.abs(traj.ex[200] - limit)) <= 1e-6
-
-    def test_not_critical(self, fib_model, fib_family):
-        with pytest.raises(NotCriticalError):
-            critical_limit(fib_model, fib_family)
 
 
 class TestCompanionCertificate:
@@ -230,7 +231,7 @@ class TestCompanionCertificate:
         fam = random_positive_family(rng, 3, (1, 4))
         stationary_check(fam, solve_malthusian(fam))
         half = MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
-        critical_limit(poisson_model_from_family(half, LifetimeLaw(pmf=(0.0, 1.0))), half)
+        _critical_limit(poisson_model_from_family(half, LifetimeLaw(pmf=(0.0, 1.0))), half)
 
         fam, _, _, _ = make_shared_family(rng, 3, (1, 2, 5))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
@@ -265,5 +266,5 @@ def _critical_families():
 def test_critical_limit_matches_dense_companion(k):
     fam = list(_critical_families())[k]
     model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
-    limit = critical_limit(model, fam)
+    limit = _critical_limit(model, fam)
     assert np.max(np.abs(limit - _dense_critical_limit(model, fam))) <= 1e-12

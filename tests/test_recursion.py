@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delayedbp import (DegenerateDenominatorError, HorizonTooLargeError,
-                       LifetimeLaw, MeanMatrixFamily, NotSharedError,
+                       LifetimeLaw, MeanMatrixFamily, PeriodicFamilyError,
                        TailDivergesError, age_distribution, evolve_means,
                        shared_pf_check, solve_malthusian, stationary_check,
                        theorem_limits, xi_kernel)
@@ -280,13 +280,47 @@ class TestTheoremLimits:
         assert rep.limit_z[0] == 0.0
         assert rep.age_limit is None
 
-    def test_not_shared(self):
-        fam = MeanMatrixFamily((1, 2), (np.ones((2, 2)),
-                                        np.array([[2.0, 1.0], [1.0, 1.0]])))
-        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+    def test_non_shared_family_converges(self):
+        # the renewal limit needs no shared eigenvectors: the trajectories of
+        # families whose per-delay P-F vectors differ reach it
+        rng = np.random.default_rng(137)
+        fams = [MeanMatrixFamily((1, 2), (np.ones((2, 2)),
+                                          np.array([[2.0, 1.0], [1.0, 1.0]])))]
+        fams += [random_positive_family(rng, 4, delays) for delays in ((1, 3), (1, 2, 5), (2, 3))]
+        for fam in fams:
+            model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.1, 0.3, 0.6)), initial=1)
+            assert not shared_pf_check(fam).shared
+            rep = theorem_limits(model, fam, solve_malthusian(fam), horizon=600)
+            assert max(rep.empirical_gap.values()) <= 1e-10
+            assert np.all(rep.limit_x > 0.01)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shared_limit_is_the_papers_constant(self, seed):
+        # g = x0'h / mu(beta) with the constructed (h, nu), nu ∝ pi / h
+        rng = np.random.default_rng(seed)
+        delays = ((1, 2), (1, 2, 3), (2, 3, 7))[seed % 3]
+        fam, p, h, _ = make_shared_family(rng, 3, delays, mix=0.15)
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)), initial=1)
+        w, v = np.linalg.eig(p.T)
+        pi = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        nu = pi / h / np.sum(pi / h)
+        h = h / (nu @ h)
         sol = solve_malthusian(fam)
-        with pytest.raises(NotSharedError):
-            theorem_limits(model, fam, sol)
+        g = float(model.initial_mean_vector() @ h) / sol.mu_beta
+        rep = theorem_limits(model, fam, sol, horizon=50)
+        assert np.max(np.abs(rep.limit_x - g * nu) / (g * nu)) <= 1e-12
+        assert np.max(np.abs(rep.type_limit - nu) / nu) <= 1e-12
+
+    @pytest.mark.parametrize("delays, mat", [
+        ((2, 4), [[0.5]]),
+        ((1, 3), [[0.0, 0.5], [0.5, 0.0]]),  # gcd(delays) = 1, period 2
+    ])
+    def test_periodic_family(self, delays, mat):
+        fam = MeanMatrixFamily(delays, tuple(np.array(mat) for _ in delays))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        with pytest.raises(PeriodicFamilyError) as exc:
+            theorem_limits(model, fam, solve_malthusian(fam))
+        assert exc.value.period == 2
 
     def test_subcritical_tail_divergence(self):
         fam = MeanMatrixFamily((1,), (np.array([[0.4]]),))
@@ -385,8 +419,18 @@ class TestStationaryCheck:
         assert stationary_check(fam, sol) <= 1e-12
 
     def test_non_shared_reports_value(self):
+        # nu is the mixture's left vector at the root, so sharing is not needed
         fam = MeanMatrixFamily((1, 2), (np.ones((2, 2)),
                                         np.array([[2.0, 1.0], [1.0, 1.0]])))
         sol = solve_malthusian(fam)
-        residual = stationary_check(fam, sol)
-        assert residual >= 0.0  # informational only
+        assert stationary_check(fam, sol) <= 1e-12
+
+    @pytest.mark.parametrize("d_max, scale", [(200, 74.0), (40, 1.4e8)])
+    def test_long_delay_stays_in_range(self, d_max, scale):
+        # rho_hat^D is far past 1e300; the weighted window stays near nu
+        rng = np.random.default_rng(139)
+        fam = MeanMatrixFamily((1, d_max), (rng.uniform(0.2, 1.0, (3, 3)) * scale / 3,
+                                            rng.uniform(0.2, 1.0, (3, 3))))
+        sol = solve_malthusian(fam)
+        assert sol.theta * d_max > math.log(1e300)
+        assert stationary_check(fam, sol) <= 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from delayedbp import (MeanMatrixFamily, NoConvergenceError,
                        NotStochasticError, build_companion, commute_check,
                        construct_shared_family,
                        construct_shared_family_reversed, family_pf,
-                       is_irreducible, normalized_word_product, pf_decompose,
-                       shared_pf_check, weight_ratio)
+                       is_irreducible, normalized_word_product, period,
+                       pf_decompose, shared_pf_check, weight_ratio)
 from delayedbp.spectral import DEFAULT_TOL, matrix_inf_norm
 from conftest import make_shared_family, random_stochastic
 
@@ -34,6 +36,50 @@ class TestIrreducibility:
         m[:2, :2] = 1.0
         m[2:, 2:] = 1.0
         assert not is_irreducible(m)
+
+
+def _companion_period(fam):
+    """gcd of the k <= N with a closed walk of length k in the N-node
+    companion graph: every simple cycle has length <= N, so this is the
+    gcd of all cycle lengths."""
+    adj = (build_companion(fam).matrix > 0).astype(np.int64)
+    walk, g = np.eye(len(adj), dtype=np.int64), 0
+    for k in range(1, len(adj) + 1):
+        walk = np.minimum(walk @ adj, 1)
+        if np.trace(walk):
+            g = math.gcd(g, k)
+    return g
+
+
+class TestPeriod:
+    @pytest.mark.parametrize("delays, mat, expected", [
+        ((1, 2), [[1.0]], 1),
+        ((2, 4), [[0.5]], 2),
+        ((1, 3), [[0.0, 0.5], [0.5, 0.0]], 2),  # gcd(delays) = 1
+        ((1, 2), [[0.0, 0.5], [0.5, 0.0]], 1),
+        ((2, 5), [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], 3),
+    ])
+    def test_known_periods(self, delays, mat, expected):
+        fam = MeanMatrixFamily(delays, tuple(np.array(mat) for _ in delays))
+        assert period(fam) == expected
+
+    def test_matches_companion_on_sparse_families(self):
+        rng = np.random.default_rng(149)
+        checked = periodic = 0
+        while checked < 60:
+            n = int(rng.integers(1, 5))
+            delays = tuple(sorted(rng.choice(np.arange(1, 9), size=int(rng.integers(1, 4)),
+                                             replace=False).tolist()))
+            mats = tuple((rng.random((n, n)) < 0.35) * rng.uniform(0.2, 1.0, (n, n))
+                         for _ in delays)
+            if not all(is_irreducible(m) for m in mats):
+                continue
+            fam = MeanMatrixFamily(delays, mats)
+            p = period(fam)
+            assert p == _companion_period(fam), (delays, mats)
+            checked += 1
+            periodic += p > 1
+        assert periodic >= 10
 
 
 class TestPFDecompose:
