@@ -15,8 +15,8 @@ from .errors import (AllTruncatedError, BetaNotNormalizedError,
                      DegenerateDenominatorError, DuplicateDelayError,
                      HorizonTooLargeError, NegativeEntryError,
                      NoConvergenceError, NonIrreducibleError,
-                     NotStochasticError, PeriodicFamilyError, SchemaError,
-                     TailDivergesError)
+                     NotStochasticError, OutOfMemoryError,
+                     PeriodicFamilyError, SchemaError, TailDivergesError)
 from .model import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
                     OffspringLaw, ValidationReport, censored_mean_matrices,
                     death_prob_by_age, validate)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -23,12 +22,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import csvrows
 from . import malthusian as mal_mod
 from . import paths as paths_mod
 from . import recursion as rec_mod
 from . import simulate as sim_mod
 from . import spectral as spec_mod
-from .errors import DelayedBPError, SchemaError
+from .errors import DelayedBPError, OutOfMemoryError, SchemaError
 from .model import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
                     censored_mean_matrices, death_prob_by_age, validate)
 
@@ -40,17 +40,23 @@ def _require(cond, field, message):
         raise SchemaError(field, message)
 
 
-def _is_number(v) -> bool:
-    """A JSON number, not a boolean, that converts to a finite double."""
+_NUMBER_TYPES = {int, float}  # not bool: JSON true and false are no numbers
+
+
+def _is_numbers(v, n=None) -> bool:
+    """A list of JSON numbers that convert to finite doubles, of length ``n``
+    when given.  The list is checked whole, with no Python call per entry."""
+    if not (isinstance(v, list) and (n is None or len(v) == n)):
+        return False
     try:
-        return type(v) in (int, float) and math.isfinite(v)
+        return set(map(type, v)) <= _NUMBER_TYPES and all(map(math.isfinite, v))
     except OverflowError:  # an integer beyond the double range
         return False
 
 
-def _is_numbers(v, n=None) -> bool:
-    """A list of JSON numbers, of length ``n`` when given."""
-    return isinstance(v, list) and (n is None or len(v) == n) and all(map(_is_number, v))
+def _is_number(v) -> bool:
+    """A JSON number, not a boolean, that converts to a finite double."""
+    return _is_numbers([v])
 
 
 def _object(value, fields, required=(), path=""):
@@ -160,7 +166,7 @@ def _parse_grid(grid, n, path, pmfs=False):
     for i, row in enumerate(grid):
         if not (isinstance(row, list) and len(row) == n):
             raise SchemaError(f"{path}[{i}]", f"must hold {n} {'pmfs' if pmfs else 'numbers'}")
-        if not all(map(_is_numbers if pmfs else _is_number, row)):
+        if not (all(map(_is_numbers, row)) if pmfs else _is_numbers(row)):
             if not pmfs:
                 raise SchemaError(f"{path}[{i}]", "entries must be numbers")
             j = next(j for j, cell in enumerate(row) if not _is_numbers(cell))
@@ -237,25 +243,30 @@ def _write(text: str, out: str | None):
         fh.write(text)
 
 
-_CSV_CHUNK = 1024  # rows formatted and written at a time
+_CSV_CHUNK = 1024  # rows built and written at a time: cache-sized numpy work
 
 
-def _write_csv(out: str | None, header, row: str, parts):
-    """Stream a CSV to ``out``: the header, then for each (keys, values) part
-    one row per key, ``row`` %-formatted with the key's cells followed by
-    the matching row of the (rows, cols) array ``values``.
+def _write_csv(out: str | None, header, types, parts):
+    """Stream a CSV to ``out``: the header, then for each (first, shape,
+    columns) part one row per index of an array of ``shape``, in C order.  A
+    row starts with its index, ``first`` added to the leading entry and the
+    last entry written as a name from ``types``, then takes its entry of each
+    array in ``columns`` (None for an empty cell).
 
-    Rows are written a chunk at a time, so the whole text is never held.
+    Rows are built and written a chunk at a time, so the whole text is never
+    held.
     """
-    row += "\n"
+    names = csvrows.labels(types)
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
-        for keys, values in parts:
-            keys = iter(keys)
-            for start in range(0, len(values), _CSV_CHUNK):
-                # rows first: zip stops before taking a key past the chunk
-                rows = zip(values[start:start + _CSV_CHUNK].tolist(), keys)
-                fh.write("".join([row % (*key, *cells) for cells, key in rows]))
+        for first, shape, columns in parts:
+            total = math.prod(shape)
+            for start in range(0, total, _CSV_CHUNK):
+                stop = min(start + _CSV_CHUNK, total)
+                *lead, t = np.unravel_index(np.arange(start, stop), shape)
+                lead[0] += first
+                cells = [None if c is None else c[start:stop] for c in columns]
+                fh.write(csvrows.rows([*lead, (names, t), *cells]))
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -321,10 +332,9 @@ def _cmd_evolve(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
     traj = rec_mod.evolve_means(model, family, args.horizon)
-    values = np.stack((traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy), axis=-1)
-    keys = itertools.product(range(args.horizon + 1), model.type_names)
-    _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"),
-               "%s,%s" + ",%.17g" * 6, [(keys, values.reshape(-1, 6))])
+    columns = [a.ravel() for a in (traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy)]
+    _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"), model.type_names,
+               [(0, traj.ex.shape, columns)])
     return 0
 
 
@@ -408,28 +418,25 @@ def _cmd_simulate(args) -> int:
     if stats.truncated:
         sys.stderr.write(f"warning: {stats.truncated} of {args.replicas} replicas truncated "
                          f"at pop_cap {args.pop_cap}; excluded from the statistics\n")
-    keys = itertools.product(range(args.horizon + 1), model.type_names)
-    if stats.se_x is None:  # one replica has no standard errors: empty cells
-        cols, row = (stats.mean_x, stats.mean_z, stats.mean_y), "%s,%s,%.17g,,%.17g,,%.17g,"
-    else:
-        cols = (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z, stats.mean_y, stats.se_y)
-        row = "%s,%s" + ",%.17g" * 6
-    values = np.stack(cols, axis=-1)
+    # one replica has no standard errors: their cells are empty
+    columns = [None if a is None else a.ravel()
+               for a in (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z,
+                         stats.mean_y, stats.se_y)]
     _write_csv(args.out, ("s", "type", "mean_x", "se_x", "mean_z", "se_z", "mean_y", "se_y"),
-               row, [(keys, values.reshape(-1, len(cols)))])
+               model.type_names, [(0, stats.mean_x.shape, columns)])
     if args.dump is not None:
-        _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"), "%s,%s,%s,%d,%d,%d",
-                   _dump_parts(blocks, args.horizon, model.type_names))
+        _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"), model.type_names,
+                   _dump_parts(blocks))
     return 0
 
 
-def _dump_parts(blocks, horizon, types):
-    """(keys, counts) per block for ``--dump``: row k of the dump is replica k."""
+def _dump_parts(blocks):
+    """(first, shape, counts) per block for ``--dump``: row k of the dump is
+    replica k."""
     k = 0
     for block in blocks:
         rows = len(block.counts)
-        yield (itertools.product(range(k, k + rows), range(horizon + 1), types),
-               block.counts.transpose(0, 2, 3, 1).reshape(-1, 3))
+        yield k, (rows, *block.x.shape[1:]), [block.counts[:, i].ravel() for i in range(3)]
         k += rows
 
 
@@ -547,7 +554,10 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except MemoryError as exc:
+            raise OutOfMemoryError(str(exc) or "out of memory") from None
     except (DelayedBPError, ValueError, OSError) as exc:
         sys.stderr.write(f"error:{type(exc).__name__}: {exc}\n")
         return 1

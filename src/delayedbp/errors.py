@@ -78,6 +78,11 @@ class HorizonTooLargeError(DelayedBPError):
         super().__init__(f"mean trajectory exceeded 1e300 at time {s}")
 
 
+class OutOfMemoryError(DelayedBPError):
+    """The machine refused memory that a request needs, such as the arrays of
+    a very long horizon."""
+
+
 class CapExceededError(DelayedBPError):
     """An enumeration would exceed its configured size cap."""
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 
@@ -531,6 +532,68 @@ class TestCsvFormat:
         assert lines[1].split(",")[2] == "2"  # X(0) of type "nan"
 
 
+    @staticmethod
+    def _reference(header, row, keys, values):
+        """The CSV as the per-row %-format wrote it: ``row`` filled with each
+        key followed by the matching row of ``values`` (its last axis)."""
+        cells = values.reshape(-1, values.shape[-1]).tolist()
+        return "".join([header + "\n"] + [row % (*key, *vals) + "\n"
+                                          for key, vals in zip(keys, cells)])
+
+    def test_simulate_summary_and_dump_match_the_row_format(self, tmp_path, monkeypatch):
+        horizon, replicas, seed = 400, 3, 4
+        # blocks of two replicas: the dump's later parts start at replica 2
+        monkeypatch.setattr(sim_mod, "block_rows", lambda horizon, n_types, split_cells=0: 2)
+        doc = dict(THREE_TYPE_CONFIG, initial=[2, 0, 1])
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(doc))
+        out, dump = tmp_path / "sim.csv", tmp_path / "dump.csv"
+        assert dispatch(["simulate", "--config", str(path), "--horizon", str(horizon),
+                         "--replicas", str(replicas), "--seed", str(seed),
+                         "--out", str(out), "--dump", str(dump)]) == 0
+
+        from delayedbp import cli as cli_mod
+        model = parse_config(json.dumps(doc))
+        blocks = list(sim_mod.replica_blocks(model, horizon, replicas, seed))
+        assert [len(b.counts) for b in blocks] == [2, 1]
+        stats = sim_mod.summarize(blocks)
+        steps = range(horizon + 1)
+        assert 3 * len(steps) > cli_mod._CSV_CHUNK  # the summary spans chunks
+        want = self._reference(
+            "s,type,mean_x,se_x,mean_z,se_z,mean_y,se_y", "%s,%s" + ",%.17g" * 6,
+            itertools.product(steps, model.type_names),
+            np.stack((stats.mean_x, stats.se_x, stats.mean_z, stats.se_z,
+                      stats.mean_y, stats.se_y), axis=-1))
+        assert out.read_text() == want
+        counts = np.concatenate([b.counts for b in blocks]).transpose(0, 2, 3, 1)
+        want = self._reference("replica,s,type,x,z,y", "%s,%s,%s,%d,%d,%d",
+                               itertools.product(range(replicas), steps, model.type_names),
+                               counts)
+        assert want.count("\n") > 3 * cli_mod._CSV_CHUNK
+        assert dump.read_text() == want
+
+    @pytest.mark.parametrize("names", [["nan", "inf", "w"], ["β", "ñu", "井"]])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_single_replica_matches_the_empty_se_row(self, names, to_file, tmp_path, capsys):
+        doc = dict(THREE_TYPE_CONFIG, types=names, initial=[2, 0, 1])
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "one.csv"
+        argv = ["simulate", "--config", str(path), "--horizon", "30", "--replicas", "1",
+                "--seed", "2"]
+        assert dispatch(argv + (["--out", str(out)] if to_file else [])) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+
+        model = parse_config(json.dumps(doc))
+        stats = sim_mod.ensemble(model, 30, 1, 2)
+        assert stats.se_x is None
+        want = self._reference("s,type,mean_x,se_x,mean_z,se_z,mean_y,se_y",
+                               "%s,%s,%.17g,,%.17g,,%.17g,",
+                               itertools.product(range(31), names),
+                               np.stack((stats.mean_x, stats.mean_z, stats.mean_y), axis=-1))
+        assert text == want
+
+
 class TestDuplicateDelayKeys:
     def test_config_table(self, tmp_path, capsys):
         doc = dict(FIB_CONFIG)
@@ -687,3 +750,27 @@ def test_python_m_runs_the_cli(fib_config):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--horizon", "1000000000"],
+                                  ["simulate", "--horizon", "1000000000", "--replicas", "2",
+                                   "--seed", "1"]])
+def test_out_of_memory_is_typed(argv, fib_config):
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    def limit():  # runs in the child only: caps its address space at 2 GB
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "delayedbp", argv[0], "--config", fib_config,
+                           *argv[1:]], capture_output=True, text=True, env=env,
+                          preexec_fn=limit, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:OutOfMemoryError: ")
