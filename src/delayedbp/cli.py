@@ -247,26 +247,26 @@ _CSV_CHUNK = 1024  # rows built and written at a time: cache-sized numpy work
 
 
 def _write_csv(out: str | None, header, types, parts):
-    """Stream a CSV to ``out``: the header, then for each (first, shape,
-    columns) part one row per index of an array of ``shape``, in C order.  A
-    row starts with its index, ``first`` added to the leading entry and the
-    last entry written as a name from ``types``, then takes its entry of each
-    array in ``columns`` (None for an empty cell).
+    """Stream a CSV to ``out``: the header, then for each (first, columns)
+    part one row per index of the arrays in ``columns`` (None for an empty
+    cell), which share one shape, in C order.  A row starts with its index,
+    ``first`` added to the leading entry and the last entry written as a name
+    from ``types``, then takes its entry of each column.
 
     Rows are built and written a chunk at a time, so the whole text is never
-    held.
+    held, and the columns are read in place.
     """
     names = csvrows.labels(types)
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
-        for first, shape, columns in parts:
+        for first, columns in parts:
+            shape = next(c.shape for c in columns if c is not None)
             total = math.prod(shape)
             for start in range(0, total, _CSV_CHUNK):
-                stop = min(start + _CSV_CHUNK, total)
-                *lead, t = np.unravel_index(np.arange(start, stop), shape)
-                lead[0] += first
-                cells = [None if c is None else c[start:stop] for c in columns]
-                fh.write(csvrows.rows([*lead, (names, t), *cells]))
+                index = np.unravel_index(np.arange(start, min(start + _CSV_CHUNK, total)), shape)
+                cells = [None if c is None else c[index] for c in columns]
+                keys = [index[0] + first, *index[1:-1], (names, index[-1])]
+                fh.write(csvrows.rows(keys + cells))
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -332,9 +332,8 @@ def _cmd_evolve(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
     traj = rec_mod.evolve_means(model, family, args.horizon)
-    columns = [a.ravel() for a in (traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy)]
     _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"), model.type_names,
-               [(0, traj.ex.shape, columns)])
+               [(0, [traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy])])
     return 0
 
 
@@ -419,11 +418,9 @@ def _cmd_simulate(args) -> int:
         sys.stderr.write(f"warning: {stats.truncated} of {args.replicas} replicas truncated "
                          f"at pop_cap {args.pop_cap}; excluded from the statistics\n")
     # one replica has no standard errors: their cells are empty
-    columns = [None if a is None else a.ravel()
-               for a in (stats.mean_x, stats.se_x, stats.mean_z, stats.se_z,
-                         stats.mean_y, stats.se_y)]
     _write_csv(args.out, ("s", "type", "mean_x", "se_x", "mean_z", "se_z", "mean_y", "se_y"),
-               model.type_names, [(0, stats.mean_x.shape, columns)])
+               model.type_names, [(0, [stats.mean_x, stats.se_x, stats.mean_z, stats.se_z,
+                                       stats.mean_y, stats.se_y])])
     if args.dump is not None:
         _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"), model.type_names,
                    _dump_parts(blocks))
@@ -431,13 +428,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _dump_parts(blocks):
-    """(first, shape, counts) per block for ``--dump``: row k of the dump is
-    replica k."""
+    """(first, counts) per block for ``--dump``: row k of the dump is replica k."""
     k = 0
     for block in blocks:
-        rows = len(block.counts)
-        yield k, (rows, *block.x.shape[1:]), [block.counts[:, i].ravel() for i in range(3)]
-        k += rows
+        yield k, [block.x, block.z, block.y]
+        k += len(block.counts)
 
 
 def _cmd_generate(args) -> int:

@@ -97,16 +97,14 @@ def _body_masks():
     """Word masks of the body by (point place a, length with the point): the
     digits before the point come from the row (m1), those after it from the
     row shifted up one byte (m2), and m3 sets the point and the _PAD filler."""
-    m = np.zeros((3, _NO_POINT + 1, 19, 32), np.uint8)
+    a = np.arange(_NO_POINT + 1)[:, None, None] + _AT
     j = np.arange(32)
-    for a in range(_NO_POINT + 1):
-        for length in range(19):
-            body = (j >= _AT) & (j < _AT + length)
-            m[0, a, length, body & (j < _AT + a)] = 0xFF
-            m[1, a, length, body & (j > _AT + a)] = 0xFF
-            m[2, a, length, body & (j == _AT + a)] = ord(".")
-            m[2, a, length, ~body & (j >= _AT) & (j < 27)] = _PAD
-    return m.view(np.uint64).reshape(3, -1, 4)
+    body = (j >= _AT) & (j < _AT + np.arange(19)[:, None])
+    m = np.stack([np.where(body & (j < a), 0xFF, 0),
+                  np.where(body & (j > a), 0xFF, 0),
+                  np.where(body & (j == a), ord("."),
+                           np.where(~body & (j >= _AT) & (j < 27), _PAD, 0))])
+    return m.astype(np.uint8).view(np.uint64).reshape(3, -1, 4)
 
 
 _M1, _M2, _M3 = _body_masks()
