@@ -22,7 +22,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import csvrows
 from . import malthusian as mal_mod
 from . import paths as paths_mod
 from . import recursion as rec_mod
@@ -256,6 +255,8 @@ def _write_csv(out: str | None, header, types, parts):
     Rows are built and written a chunk at a time, so the whole text is never
     held, and the columns are read in place.
     """
+    from . import csvrows  # building its tables takes milliseconds: only CSV commands pay
+
     names = csvrows.labels(types)
     with _output(out) as fh:
         fh.write(",".join(header) + "\n")
