@@ -5,7 +5,8 @@
 one row per line.  The float kernel scales |x| by a double-double power of
 ten (Dekker's two-product) to a 17-digit integer, renders it through a
 4-digit table and lays each cell out with bytewise word masks taken from
-tables indexed by sign, exponent class and significant-digit count.  A cell
+tables indexed by sign and exponent (the head and the exponent text) and by
+point place and significant-digit count (the digits).  A cell
 whose rounding it cannot certify (non-finite, outside [1e-270, 1e290],
 within 1e-6 of a tie, or out of range on the recheck) is formatted by
 Python's own ``'%.17g'``, so every cell is byte for byte what
@@ -73,7 +74,7 @@ _T4 = _group_words()
 _TZ4 = sum(np.arange(10000) % 10 ** i == 0 for i in range(1, 5)).astype(np.int8)
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
-# A float cell is built in a 32-byte row, one of four words:
+# A float cell is built in a 32-byte row of four words:
 #   bytes 0..6    the head, right-aligned: "-", and "0." and zeros for
 #                 exponents -4..-1 (indexed by sign * 5 - exponent)
 #   bytes 7..24   the body: the 17 digits with the point inserted and
