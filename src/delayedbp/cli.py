@@ -3,10 +3,9 @@
 Subcommands: validate, spectral, malthusian, evolve, limits, paths, simulate,
 generate.  Models are described by a strict JSON config.  This module checks
 only what decoding needs (JSON types, finite numbers, known and required
-fields, delay keys, n x n shapes) and the one rule a config adds to the
-library: a lifetime pmf with no ``tail_ratio`` must sum to 1.  Every value
-rule lives in the model constructors, which raise a SchemaError naming the
-config field.  Scalar reports are emitted as JSON and trajectories as CSV,
+fields, delay keys, n x n shapes).  Every value rule, normalization
+included, lives in the model constructors, which raise a SchemaError naming
+the config field.  Scalar reports are emitted as JSON and trajectories as CSV,
 floats always with 17 significant digits so that values round-trip
 losslessly.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -116,13 +115,6 @@ def _parse_lifetime(value) -> LifetimeLaw:
     pmf, tail, dp = lt["pmf"], lt.get("tail_ratio"), lt.get("death_prob", 0.0)
     _require(_is_numbers(pmf), "lifetime.pmf", "must be a list of numbers")
     _require(tail is None or _is_number(tail), "lifetime.tail_ratio", "must be a number")
-    if tail is None:  # a config may not leave mass at L = infinity
-        try:
-            total = math.fsum(pmf)
-        except OverflowError:
-            total = math.inf
-        _require(abs(total - 1.0) <= 1e-12, "lifetime.pmf",
-                 f"sums to {total!r} with no tail_ratio to absorb the rest")
     _require(_is_number(dp) or _is_numbers(dp), "lifetime.death_prob",
              "must be a number or a list of numbers")
     return LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)

@@ -11,7 +11,7 @@ mean-matrix family.
 from __future__ import annotations
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,21 +37,17 @@ class DelayFamily:
     delays: tuple[int, ...]
 
     def __post_init__(self):
-        delays = tuple(int(d) for d in self.delays)
+        try:
+            delays = tuple(map(operator.index, self.delays))
+        except TypeError:
+            raise SchemaError("delays", f"entries must be integers, got {list(self.delays)}") from None
         if len(delays) == 0:
             raise SchemaError("delays", "at least one delay is required")
         if any(d < 1 for d in delays):
             raise SchemaError("delays", f"entries must be >= 1, got {list(delays)}")
         if len(set(delays)) != len(delays):
             raise DuplicateDelayError(delays)
-        delays = tuple(sorted(delays))
-        object.__setattr__(self, "delays", delays)
-        if len(delays) == 1:
-            warnings.warn("single-delay family: the process degenerates to an "
-                          "ordinary multi-type branching process", stacklevel=2)
-        if self.gcd != 1:
-            warnings.warn(f"gcd of delays is {self.gcd} != 1; the process is "
-                          "periodic and limit statements need care", stacklevel=2)
+        object.__setattr__(self, "delays", tuple(sorted(delays)))
 
     @property
     def max_delay(self) -> int:
@@ -72,8 +68,9 @@ class DelayFamily:
 class LifetimeLaw:
     """Distribution of the convalescence time L and the death indicator.
 
-    ``pmf[l]`` is P(L = l) for l = 0..L_max.  Any missing mass is placed on
-    {L_max+1, L_max+2, ...} as a geometric tail with ratio ``tail_ratio``:
+    ``pmf[l]`` is P(L = l) for l = 0..L_max.  L is finite: with no
+    ``tail_ratio`` the pmf must sum to 1, and with one the missing mass is
+    placed on {L_max+1, L_max+2, ...} as a geometric tail with that ratio:
     P(L > c) = (1 - sum(pmf)) * tail_ratio**(c - L_max) for c >= L_max.
 
     ``death_prob`` gives P(death | L = l) for l >= 1, either as a single
@@ -91,15 +88,13 @@ class LifetimeLaw:
             raise SchemaError("lifetime.pmf", "must have at least one entry")
         _check_unit("lifetime.pmf", pmf)  # also keeps fsum below overflow
         total = math.fsum(pmf)
-        if total > 1.0 + _NORM_TOL:
-            raise SchemaError("lifetime.pmf", f"sums to {total!r} > 1")
         if self.tail_ratio is None:
             if abs(total - 1.0) > _NORM_TOL:
-                # constructible so that validate() can report the defect;
-                # the missing mass behaves as P(L = infinity)
-                warnings.warn(f"lifetime pmf sums to {total!r}, mass != 1",
-                              stacklevel=2)
+                raise SchemaError("lifetime.pmf",
+                                  f"sums to {total!r} with no tail_ratio to absorb the rest")
         else:
+            if total > 1.0 + _NORM_TOL:
+                raise SchemaError("lifetime.pmf", f"sums to {total!r} > 1")
             q = float(self.tail_ratio)
             if not (0.0 <= q < 1.0):
                 raise SchemaError("lifetime.tail_ratio", f"must lie in [0, 1), got {q!r}")
@@ -109,9 +104,6 @@ class LifetimeLaw:
         dp = float(dp) if isinstance(dp, (int, float)) else tuple(float(x) for x in dp)
         _check_unit("lifetime.death_prob", dp if isinstance(dp, tuple) else (dp,))
         object.__setattr__(self, "death_prob", dp)
-        if self.survival(0) <= 0.0:
-            warnings.warn("P(L > 0) = 0: every individual is asymptomatic",
-                          stacklevel=2)
 
     @property
     def max_finite(self) -> int:
@@ -137,16 +129,14 @@ class LifetimeLaw:
         return self.tail_mass * (1.0 - q) * q ** (k - 1)
 
     def survival(self, c: int) -> float:
-        """P(L > c).  For an unnormalized law without a tail, the missing
-        mass never dies off (it acts as P(L = infinity))."""
+        """P(L > c); zero past the explicit pmf when there is no tail."""
         if c < 0:
             return 1.0
         if c < self.max_finite:
             return max(0.0, 1.0 - math.fsum(self.pmf[: c + 1]))
-        rem = max(0.0, 1.0 - math.fsum(self.pmf))
         if self.tail_ratio is None:
-            return rem
-        return rem * self.tail_ratio ** (c - self.max_finite)
+            return 0.0
+        return self.tail_mass * self.tail_ratio ** (c - self.max_finite)
 
     def death_prob_at(self, l: int) -> float:
         """P(death | L = l); zero for l = 0 (asymptomatic individuals)."""
@@ -176,10 +166,8 @@ class LifetimeLaw:
         return pmf, by_age.take(np.arange(ages), mode="clip")  # the last entry repeats
 
     def mean(self) -> float:
-        """E[L]; infinite only for an unnormalized law (defect mass)."""
+        """E[L]."""
         m = math.fsum(l * p for l, p in enumerate(self.pmf))
-        if self.tail_ratio is None:
-            return m if math.fsum(self.pmf) >= 1.0 - _NORM_TOL else math.inf
         if self.tail_mass > 0.0:
             m += self.tail_mass * (self.max_finite + 1.0 / (1.0 - self.tail_ratio))
         return m
@@ -189,16 +177,15 @@ class LifetimeLaw:
 
         The finite part is summed term by term; the geometric tail collapses
         to tail_mass * exp(-theta*L_max) / (1 - q*exp(-theta)).  Raises
-        TailDivergesError when q*exp(-theta) >= 1 (and likewise for the
-        never-dying defect mass of an unnormalized law at theta <= 0).
+        TailDivergesError when q*exp(-theta) >= 1.
         """
         from .errors import TailDivergesError
 
         w = math.exp(-theta)
         total = math.fsum(self.survival(c) * w ** c for c in range(self.max_finite))
-        rem = self.survival(max(self.max_finite, 0))
+        rem = self.tail_mass
         if rem > 0.0:
-            ratio = w if self.tail_ratio is None else self.tail_ratio * w
+            ratio = self.tail_ratio * w
             if ratio >= 1.0:
                 raise TailDivergesError(
                     f"geometric rate {ratio!r} >= 1 beyond the finite lifetime part")
@@ -232,6 +219,9 @@ class OffspringLaw:
             for d, m in means.items():
                 if m.ndim != 2 or m.shape[0] != m.shape[1]:
                     raise SchemaError(f"offspring.means.{d}", "must be a square matrix")
+                rows = np.flatnonzero(~np.isfinite(m).all(axis=1))
+                if rows.size:
+                    raise SchemaError(f"offspring.means.{d}[{rows[0]}]", "entries must be finite")
                 if np.any(m < 0):
                     i = int(np.flatnonzero((m < 0).any(axis=1))[0])
                     raise NegativeEntryError(f"offspring.means.{d}[{i}]", float(m[i].min()))
@@ -303,6 +293,8 @@ class ModelSpec:
             init = tuple(float(x) for x in init)
             if len(init) != n:
                 raise SchemaError("initial", f"length {len(init)} != type count {n}")
+            if not all(map(math.isfinite, init)):
+                raise SchemaError("initial", "entries must be finite")
             if any(x < 0 for x in init):
                 raise NegativeEntryError("initial", min(init))
             object.__setattr__(self, "initial", init)
@@ -455,34 +447,36 @@ class ValidationReport:
 
 
 def validate(model: ModelSpec) -> ValidationReport:
-    """Check the standing assumptions; failures are reported, never raised."""
-    from .spectral import is_irreducible
+    """Check the standing assumptions; failures are reported, never raised.
 
-    checks = []
+    Every rule the model constructors enforce reads as a pass.  The delay
+    check warns when the family is periodic, which it can be with gcd 1: its
+    detail adds the period when that differs from the gcd.
+    """
+    from .spectral import is_irreducible, period
 
+    delays = model.delay_family.delays
+    mats = {d: _censored_matrix(model, d) for d in delays}
+    irreducible = [is_irreducible(m) for m in mats.values()]
     g = model.delay_family.gcd
-    checks.append(ValidationCheck(
-        "delay gcd", "pass" if g == 1 else "warn",
-        f"gcd({list(model.delay_family.delays)}) = {g}"))
+    p = period(mats) if all(irreducible) else g
+    checks = [ValidationCheck(
+        "delay gcd", "pass" if p == 1 else "warn",
+        f"gcd({list(delays)}) = {g}" + (f"; period {p}" if p != g else ""))]
 
-    lt = model.lifetime
-    mass = 1.0 if lt.tail_ratio is not None else math.fsum(lt.pmf)
-    checks.append(ValidationCheck(
-        "lifetime mass", "pass" if abs(mass - 1.0) <= 1e-9 else "fail",
-        f"P(L < inf) = {mass!r}"))
+    # LifetimeLaw and OffspringLaw reject an unnormalized pmf at construction
+    checks.append(ValidationCheck("lifetime mass", "pass", "P(L < inf) = 1.0"))
 
-    p_pos = lt.survival(0)
+    p_pos = model.lifetime.survival(0)
     checks.append(ValidationCheck(
         "nontrivial lifetime", "pass" if p_pos > 0 else "warn",
         f"P(L > 0) = {p_pos!r}"))
 
-    # OffspringLaw rejects an unnormalized pmf at construction
     checks.append(ValidationCheck(
         "offspring pmf normalization", "pass",
         "all normalized" if model.offspring.kind == "pmf" else "poisson laws are normalized"))
 
-    for d in model.delay_family:
-        ok = is_irreducible(_censored_matrix(model, d))
+    for d, ok in zip(delays, irreducible):
         checks.append(ValidationCheck(
             f"irreducibility of M_{d}", "pass" if ok else "fail",
             "irreducible" if ok else "reducible"))

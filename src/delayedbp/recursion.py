@@ -106,7 +106,7 @@ def _weighted_survival(lt, c: int, theta: float) -> tuple[float, float]:
     """P(L > c) * exp(-theta*c) as a (factor, exponent) pair, the exponent
     taken in log space on the geometric tail so that subcritical weighting
     cannot overflow prematurely."""
-    rem = lt.survival(lt.max_finite)  # tail or defect mass
+    rem = lt.tail_mass
     if c < lt.max_finite or not lt.tail_ratio or rem == 0.0:
         return lt.survival(c), -theta * c
     return 1.0, math.log(rem) + (c - lt.max_finite) * math.log(lt.tail_ratio) - theta * c

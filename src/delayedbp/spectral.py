@@ -57,7 +57,8 @@ def is_irreducible(m: np.ndarray) -> bool:
 
 def period(family) -> int:
     """The gcd of the cycle lengths of the family's graph, which has an edge
-    i -> j of length d wherever M_d(i, j) > 0; 1 means aperiodic.
+    i -> j of length d wherever M_d(i, j) > 0; 1 means aperiodic.  ``family``
+    is a MeanMatrixFamily or a dict of matrices keyed by delay.
 
     A frontier search from type 0 records one path length dist(j) to every
     type.  Every cycle length is a sum of the edge defects
@@ -67,7 +68,7 @@ def period(family) -> int:
     irreducible.
     """
     edges = [(d, mat > 0) for d, mat in family.items()]
-    dist = np.full(family.n_types, -1, dtype=np.int64)
+    dist = np.full(len(edges[0][1]), -1, dtype=np.int64)
     dist[0] = 0
     frontier = np.array([0])
     while frontier.size:

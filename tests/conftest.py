@@ -1,7 +1,5 @@
 """Shared fixtures and family builders for the test suite."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -82,11 +80,3 @@ def poisson_model_from_family(family, lifetime, type_names=None, initial=0):
         lifetime=lifetime,
         initial=initial,
     )
-
-
-@pytest.fixture(autouse=True)
-def _quiet_known_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="gcd of delays")
-        warnings.filterwarnings("ignore", message="single-delay family")
-        yield

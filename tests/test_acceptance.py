@@ -5,7 +5,6 @@ lines; the whole suite is sized for a few minutes on a laptop.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -204,24 +203,20 @@ def test_criterion_10_monte_carlo_unbiasedness():
                 within += 1
         assert within / 11 >= 0.95, (master, within)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sub = ModelSpec(
-            type_names=("a",),
-            delay_family=DelayFamily((1,)),
-            offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
-            lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+    sub = ModelSpec(
+        type_names=("a",),
+        delay_family=DelayFamily((1,)),
+        offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
+        lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
     sub_stats = ensemble(sub, 200, replicas=10_000, seed=404)
     assert sub_stats.extinction_frequency["x"] >= 0.99
 
     # pathwise extinction ordering on a model with asymptomatics
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mixed = ModelSpec(
-            type_names=("a",),
-            delay_family=DelayFamily((1, 2)),
-            offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
-            lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
+    mixed = ModelSpec(
+        type_names=("a",),
+        delay_family=DelayFamily((1, 2)),
+        offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
+        lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
     records = [simulate_replica(mixed, 60, seed=(505, k)) for k in range(2000)]
     report = extinction_consistency(records)
     assert report.ok

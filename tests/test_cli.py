@@ -128,8 +128,47 @@ class TestDispatch:
                "lifetime": {"pmf": [0.0, 1.0]}, "initial": 0}
         path = tmp_path / "periodic.json"
         path.write_text(json.dumps(doc))
+        assert dispatch(["validate", "--config", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        gcd = report["checks"][0]
+        assert (gcd["name"], gcd["status"]) == ("delay gcd", "warn")
+        assert gcd["detail"].endswith("; period 2" if delays == (1, 3) else "= 2")
+        assert report["ok"] is True
         assert dispatch(["limits", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:PeriodicFamilyError:")
+
+    @staticmethod
+    def _one_type(tmp_path, pmf):
+        doc = {"types": ["a"], "delays": [1, 2],
+               "offspring": {"kind": "poisson", "means": {"1": [[0.3]], "2": [[0.3]]}},
+               "lifetime": {"pmf": pmf}}
+        path = tmp_path / f"lifetime-{pmf[-1]!r}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_limits_near_normalized_lifetime(self, tmp_path, capsys):
+        # a no-tail pmf within 1e-12 of 1 has no mass past it, so the
+        # subcritical lifetime series is finite
+        docs = []
+        for pmf in ([0.5, 0.4999999999999], [0.5, 0.5]):
+            assert dispatch(["limits", "--config", self._one_type(tmp_path, pmf)]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        near, exact = docs
+        assert exact["limit_x"][0] == pytest.approx(0.632, abs=1e-3)
+        for key in ("limit_x", "limit_z", "limit_y", "type_limit", "age_limit"):
+            assert near[key] == pytest.approx(exact[key], rel=1e-12, abs=1e-12)
+
+    def test_evolve_near_normalized_lifetime(self, tmp_path, capsys):
+        # P(L > c) is 0 for c >= 1, so each individual counts in Z only at
+        # age 0 and E[Z(s)] = P(L > 0) E[X(s)], exactly
+        outs = []
+        for pmf in ([0.5, 0.4999999999999], [0.5, 0.5]):
+            config = self._one_type(tmp_path, pmf)
+            assert dispatch(["evolve", "--config", config, "--horizon", "20"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        rows = [line.split(",") for line in outs[0].splitlines()[1:]]
+        assert all(float(row[3]) == 0.5 * float(row[2]) for row in rows)
 
     def test_limits_non_shared_family(self, tmp_path, capsys):
         fam = random_positive_family(np.random.default_rng(151), 5, (1, 2, 3))

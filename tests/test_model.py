@@ -1,13 +1,12 @@
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from delayedbp import (DelayFamily, DuplicateDelayError, LifetimeLaw,
                        MeanMatrixFamily, ModelSpec, NegativeEntryError,
-                       NonIrreducibleError, OffspringLaw, TailDivergesError,
+                       NonIrreducibleError, OffspringLaw, SchemaError, TailDivergesError,
                        censored_mean_matrices, death_prob_by_age, validate)
 from delayedbp.cli import model_to_config, parse_config
 from conftest import make_fibonacci_model
@@ -30,13 +29,18 @@ class TestDelayFamily:
         with pytest.raises(ValueError):
             DelayFamily((0, 1))
 
-    def test_single_delay_warns(self):
-        with pytest.warns(UserWarning, match="single-delay"):
-            DelayFamily((1,))
+    def test_single_delay_is_ordinary(self):
+        # a lone delay {1} is an ordinary branching process: nothing to report
+        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)),
+                          offspring=OffspringLaw(kind="poisson", means={1: [[1.5]]}),
+                          lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        assert all(c.status == "pass" for c in validate(model).checks)
 
-    def test_gcd_warns(self):
-        with pytest.warns(UserWarning, match="gcd"):
-            DelayFamily((2, 4))
+    @pytest.mark.parametrize("delays", [(1.5, 2), (1, float("nan")), (1, float("inf")), ("1",)])
+    def test_non_integer_rejected(self, delays):
+        with pytest.raises(SchemaError) as exc:
+            DelayFamily(delays)
+        assert exc.value.field == "delays"
 
 
 class TestLifetimeLaw:
@@ -76,13 +80,23 @@ class TestLifetimeLaw:
         assert lt.death_prob_at(2) == 0.4
         assert lt.death_prob_at(9) == 0.4
 
-    def test_unnormalized_warns(self):
-        with pytest.warns(UserWarning, match="mass"):
+    def test_unnormalized_rejected(self):
+        with pytest.raises(SchemaError) as exc:
             LifetimeLaw(pmf=(0.4, 0.5))
+        assert exc.value.field == "lifetime.pmf"
+
+    def test_near_normalized_has_no_mass_past_pmf(self):
+        lt = LifetimeLaw(pmf=(0.5, 0.4999999999999))
+        assert [lt.survival(c) for c in (1, 2, 50)] == [0.0, 0.0, 0.0]
+        assert lt.mean() == pytest.approx(0.5, rel=1e-12)
+        assert lt.weighted_survival_series(-5.0) == 0.5  # only P(L > 0) at c = 0
 
     def test_all_asymptomatic_warns(self):
-        with pytest.warns(UserWarning, match="asymptomatic"):
-            LifetimeLaw(pmf=(1.0,))
+        # P(L > 0) = 0 is legal; validate reports it
+        model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(1.0,)))
+        byname = {c.name: c for c in validate(model).checks}
+        assert byname["nontrivial lifetime"].status == "warn"
+        assert byname["nontrivial lifetime"].detail == "P(L > 0) = 0.0"
 
     def test_entry_above_one_rejected(self):
         # (1e308, 1e308) would overflow math.fsum before the sum check
@@ -142,13 +156,11 @@ class TestDeathProbByAge:
             assert death_prob_by_age(lt, d) == self._termwise(lt, d)
 
     def test_huge_delay_validates_fast(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1, 10 ** 6)),
-                offspring=OffspringLaw(kind="poisson", means={1: [[0.5]], 10 ** 6: [[0.5]]}),
-                lifetime=LifetimeLaw(pmf=(0.2, 0.3), tail_ratio=0.9, death_prob=0.5))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1, 10 ** 6)),
+            offspring=OffspringLaw(kind="poisson", means={1: [[0.5]], 10 ** 6: [[0.5]]}),
+            lifetime=LifetimeLaw(pmf=(0.2, 0.3), tail_ratio=0.9, death_prob=0.5))
         start = time.perf_counter()
         report = validate(model)
         assert time.perf_counter() - start < 0.1
@@ -160,15 +172,13 @@ class TestDeathProbByAge:
 class TestLifetimeTables:
     @pytest.mark.parametrize("pmf,tail,dp", [
         ((0.2, 0.3, 0.5), None, 0.3),
-        ((0.4, 0.5), None, (0.1, 0.2)),          # defect mass without a tail
+        ((0.4, 0.6), None, (0.1, 0.2)),          # no tail, short death table
         ((0.1, 0.2, 0.3), 0.6, (0.1, 0.7, 0.2)),
         ((0.5,), 0.0, ()),
         ((0.0, 0.25), 0.95, 1.0),
     ])
     def test_tables_match_per_age_calls(self, pmf, tail, dp):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+        lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
         for ages in (1, 2, 3, 40):
             p, death = lt.tables(ages)
             assert p.shape == death.shape == (ages,)
@@ -187,25 +197,21 @@ class TestCensoredMeans:
 
     def test_product_formula(self):
         # P(L <= 2, death) = 0.25 via P(L=1)=0.5 with death prob 1/2 at l=1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lt = LifetimeLaw(pmf=(0.0, 0.5, 0.0, 0.5), death_prob=(0.5, 0.0, 0.0))
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((2,)),
-                offspring=OffspringLaw(kind="poisson", means={2: [[2.0]]}),
-                lifetime=lt)
+        lt = LifetimeLaw(pmf=(0.0, 0.5, 0.0, 0.5), death_prob=(0.5, 0.0, 0.0))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((2,)),
+            offspring=OffspringLaw(kind="poisson", means={2: [[2.0]]}),
+            lifetime=lt)
         fam = censored_mean_matrices(model)
         assert fam.matrix(2)[0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_zero_matrix_is_reducible(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1, 2)),
-                offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[0.0]]}),
-                lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1, 2)),
+            offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[0.0]]}),
+            lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         with pytest.raises(NonIrreducibleError) as exc:
             censored_mean_matrices(model)
         assert exc.value.delay == 2
@@ -257,6 +263,18 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             make_fibonacci_model(initial=3)
 
+    @pytest.mark.parametrize("initial", [(math.nan,), (math.inf,)])
+    def test_initial_not_finite_rejected(self, initial):
+        with pytest.raises(SchemaError) as exc:
+            make_fibonacci_model(initial=initial)
+        assert exc.value.field == "initial"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_poisson_mean_not_finite_rejected(self, bad):
+        with pytest.raises(SchemaError) as exc:
+            OffspringLaw(kind="poisson", means={1: [[1.0, 0.5], [0.5, bad]], 2: [[1.0, 1.0], [1.0, 1.0]]})
+        assert exc.value.field == "offspring.means.1[1]"
+
     def test_missing_delay_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ModelSpec(type_names=("a",),
@@ -272,37 +290,35 @@ class TestValidate:
         assert all(c.status == "pass" for c in report.checks)
 
     def test_gcd_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        for delays, means, detail in [
+            ((2, 4), [[1.0]], "gcd([2, 4]) = 2"),
+            # gcd 1, but every cycle of the swap has even length
+            ((1, 3), [[0.0, 0.5], [0.5, 0.0]], "gcd([1, 3]) = 1; period 2"),
+        ]:
             model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((2, 4)),
-                offspring=OffspringLaw(kind="poisson", means={2: [[1.0]], 4: [[1.0]]}),
+                type_names=tuple("ab"[:len(means)]),
+                delay_family=DelayFamily(delays),
+                offspring=OffspringLaw(kind="poisson", means={d: means for d in delays}),
                 lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
-        report = validate(model)
-        byname = {c.name: c for c in report.checks}
-        assert byname["delay gcd"].status == "warn"
-        assert report.ok  # warnings do not fail validation
+            report = validate(model)
+            byname = {c.name: c for c in report.checks}
+            assert (byname["delay gcd"].status, byname["delay gcd"].detail) == ("warn", detail)
+            assert report.ok  # warnings do not fail validation
 
-    def test_unnormalized_lifetime_fails(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(0.4, 0.5)))
-        report = validate(model)
-        byname = {c.name: c for c in report.checks}
-        assert byname["lifetime mass"].status == "fail"
-        assert not report.ok
-
+    def test_lifetime_mass_passes(self):
+        # LifetimeLaw owns the rule, so every law that builds passes
+        for lt in (LifetimeLaw(pmf=(0.5, 0.4999999999999)), LifetimeLaw(pmf=(0.4,), tail_ratio=0.5)):
+            byname = {c.name: c for c in validate(make_fibonacci_model(lifetime=lt)).checks}
+            assert (byname["lifetime mass"].status, byname["lifetime mass"].detail) == (
+                "pass", "P(L < inf) = 1.0")
 
     def test_check_strings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1, 2)),
-                offspring=OffspringLaw(kind="pmf",
-                                       pmfs={1: [[(0.5, 0.5)]], 2: [[(0.0, 1.0)]]}),
-                lifetime=LifetimeLaw(pmf=(0.0, 0.0, 1.0), death_prob=1.0))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1, 2)),
+            offspring=OffspringLaw(kind="pmf",
+                                   pmfs={1: [[(0.5, 0.5)]], 2: [[(0.0, 1.0)]]}),
+            lifetime=LifetimeLaw(pmf=(0.0, 0.0, 1.0), death_prob=1.0))
         report = validate(model)
         assert [(c.name, c.status, c.detail) for c in report.checks] == [
             ("delay gcd", "pass", "gcd([1, 2]) = 1"),

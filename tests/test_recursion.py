@@ -268,10 +268,7 @@ class TestTheoremLimits:
     def test_fibonacci_all_asymptomatic(self, fib_family):
         # window sum over ages 0..2 is 1 + 1/phi + 1/phi^2 = 2, and the
         # trajectory (exact by the windowed-incidence identity) confirms it
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(1.0,)))
+        model = make_fibonacci_model(lifetime=LifetimeLaw(pmf=(1.0,)))
         sol = solve_malthusian(fib_family)
         rep = theorem_limits(model, fib_family, sol, horizon=80)
         assert rep.limit_y[0] == pytest.approx(2.0 / sol.mu_beta, abs=1e-12)

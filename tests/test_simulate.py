@@ -1,5 +1,4 @@
 import functools
-import warnings
 
 import numpy as np
 import pytest
@@ -15,19 +14,15 @@ from conftest import make_fibonacci_model
 
 
 def subcritical_model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ModelSpec(
-            type_names=("a",),
-            delay_family=DelayFamily((1,)),
-            offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
-            lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+    return ModelSpec(
+        type_names=("a",),
+        delay_family=DelayFamily((1,)),
+        offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
+        lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
 
 
 def asymptomatic_model():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_fibonacci_model(lifetime=LifetimeLaw(pmf=(1.0,)))
+    return make_fibonacci_model(lifetime=LifetimeLaw(pmf=(1.0,)))
 
 
 class TestSimulateReplica:
@@ -46,13 +41,11 @@ class TestSimulateReplica:
         assert not np.array_equal(a.x, b.x)
 
     def test_no_offspring_immediate_extinction(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1,)),
-                offspring=OffspringLaw(kind="pmf", pmfs={1: [[(1.0,)]]}),
-                lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1,)),
+            offspring=OffspringLaw(kind="pmf", pmfs={1: [[(1.0,)]]}),
+            lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         rec = simulate_replica(model, 10, seed=7)
         assert rec.x.sum() == 1 and rec.x[0, 0, 0] == 1
         det, time = rec.extinction()
@@ -125,13 +118,11 @@ class TestEnsemble:
                    - stats.extinction_frequency["z"]) <= 0.05
 
     def test_all_truncated(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1,)),
-                offspring=OffspringLaw(kind="pmf", pmfs={1: [[(0.0, 0.0, 1.0)]]}),
-                lifetime=LifetimeLaw(pmf=(0.0, 1.0)))  # always two children
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1,)),
+            offspring=OffspringLaw(kind="pmf", pmfs={1: [[(0.0, 0.0, 1.0)]]}),
+            lifetime=LifetimeLaw(pmf=(0.0, 1.0)))  # always two children
         with pytest.raises(AllTruncatedError):
             ensemble(model, 20, replicas=3, seed=29, pop_cap=5)
 
@@ -276,16 +267,14 @@ def _within_4se(stats, traj, share=0.95):
 
 class TestMonteCarloCoverage:
     def test_pmf_offspring(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("u", "v"),
-                delay_family=DelayFamily((1, 2)),
-                offspring=OffspringLaw(kind="pmf", pmfs={
-                    1: [[(0.6, 0.3, 0.1), (0.7, 0.3)], [(0.5, 0.2, 0.2, 0.1), (0.8, 0.2)]],
-                    2: [[(0.8, 0.2), (0.5, 0.5)], [(0.9, 0.1), (0.6, 0.2, 0.2)]]}),
-                lifetime=LifetimeLaw(pmf=(0.2, 0.3, 0.5), death_prob=0.2),
-                initial=(3.0, 2.0))
+        model = ModelSpec(
+            type_names=("u", "v"),
+            delay_family=DelayFamily((1, 2)),
+            offspring=OffspringLaw(kind="pmf", pmfs={
+                1: [[(0.6, 0.3, 0.1), (0.7, 0.3)], [(0.5, 0.2, 0.2, 0.1), (0.8, 0.2)]],
+                2: [[(0.8, 0.2), (0.5, 0.5)], [(0.9, 0.1), (0.6, 0.2, 0.2)]]}),
+            lifetime=LifetimeLaw(pmf=(0.2, 0.3, 0.5), death_prob=0.2),
+            initial=(3.0, 2.0))
         stats = ensemble(model, 12, replicas=20_000, seed=91)
         traj = evolve_means(model, censored_mean_matrices(model), 12)
         assert _within_4se(stats, traj)
@@ -294,15 +283,13 @@ class TestMonteCarloCoverage:
         rng = np.random.default_rng(5)
         means = {d: (rng.uniform(0.1, 0.4, size=(3, 3)) * w).tolist()
                  for d, w in ((1, 1.0), (2, 0.8), (4, 0.5))}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a", "b", "c"),
-                delay_family=DelayFamily((1, 2, 4)),
-                offspring=OffspringLaw(kind="poisson", means=means),
-                lifetime=LifetimeLaw(pmf=(0.15, 0.25), tail_ratio=0.6,
-                                     death_prob=(0.05, 0.1, 0.3)),
-                initial=(4.0, 4.0, 4.0))
+        model = ModelSpec(
+            type_names=("a", "b", "c"),
+            delay_family=DelayFamily((1, 2, 4)),
+            offspring=OffspringLaw(kind="poisson", means=means),
+            lifetime=LifetimeLaw(pmf=(0.15, 0.25), tail_ratio=0.6,
+                                 death_prob=(0.05, 0.1, 0.3)),
+            initial=(4.0, 4.0, 4.0))
         stats = ensemble(model, 15, replicas=20_000, seed=93)
         traj = evolve_means(model, censored_mean_matrices(model), 15)
         assert _within_4se(stats, traj)
@@ -318,13 +305,11 @@ class TestExtinctionConsistency:
         assert report.replicas_checked > 0
 
     def test_pathwise_ordering_subcritical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = ModelSpec(
-                type_names=("a",),
-                delay_family=DelayFamily((1, 2)),
-                offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
-                lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((1, 2)),
+            offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
+            lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
         records = [simulate_replica(model, 60, seed=(41, k)) for k in range(300)]
         report = extinction_consistency(records)
         assert report.ok
