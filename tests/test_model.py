@@ -36,6 +36,16 @@ class TestDelayFamily:
                           lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         assert all(c.status == "pass" for c in validate(model).checks)
 
+    def test_gcd_warns(self):
+        # a gcd above 1 is legal; validate, not the constructor, reports it
+        fam = DelayFamily((2, 4))
+        assert fam.gcd == 2
+        model = ModelSpec(type_names=("a",), delay_family=fam,
+                          offspring=OffspringLaw(kind="poisson", means={2: [[0.5]], 4: [[0.5]]}),
+                          lifetime=LifetimeLaw(pmf=(0.0, 0.0, 0.0, 0.0, 1.0)))
+        byname = {c.name: c for c in validate(model).checks}
+        assert (byname["delay gcd"].status, byname["delay gcd"].detail) == ("warn", "gcd([2, 4]) = 2")
+
     @pytest.mark.parametrize("delays", [(1.5, 2), (1, float("nan")), (1, float("inf")), ("1",)])
     def test_non_integer_rejected(self, delays):
         with pytest.raises(SchemaError) as exc:
