@@ -33,7 +33,7 @@ for word in ((1, 1, 1, 2), (1, 2, 1, 1, 2, 1)):
     print(f"  {word}: {has_kappa_run(word, 3)}")
 
 # a two-type family to exercise the matrix-valued kernels; sharing
-# eigenvectors makes the path-sampling step distribution a probability vector
+# eigenvectors makes beta sum to one, so each sampled step weighs M_d / rho_d
 P = np.array([[0.7, 0.3], [0.4, 0.6]])
 family = construct_shared_family(P, h=np.array([1.0, 1.6]),
                                  rhos={1: 0.65, 2: 0.45})

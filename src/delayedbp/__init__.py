@@ -10,8 +10,8 @@ cross-checks everything against exact path enumeration and individual-level
 Monte Carlo simulation.
 """
 
-from .errors import (AllTruncatedError, BetaNotNormalizedError,
-                     BracketFailureError, CapExceededError, DelayedBPError,
+from .errors import (AllTruncatedError, BracketFailureError,
+                     CapExceededError, DelayedBPError,
                      DegenerateDenominatorError, DuplicateDelayError,
                      HorizonTooLargeError, NegativeEntryError,
                      NoConvergenceError, NonIrreducibleError,

@@ -87,15 +87,6 @@ class CapExceededError(DelayedBPError):
     """An enumeration would exceed its configured size cap."""
 
 
-class BetaNotNormalizedError(DelayedBPError):
-    def __init__(self, total):
-        self.total = total
-        super().__init__(
-            f"step distribution sums to {total!r}; the Bernoulli-path estimator "
-            "requires a family sharing P-F eigenvectors"
-        )
-
-
 class DegenerateDenominatorError(DelayedBPError):
     """Every delay has zero survival probability: the age distribution of the
     reproducing population is undefined."""

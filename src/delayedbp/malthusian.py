@@ -62,8 +62,9 @@ def _log_growth(family, t: float, tol: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class MalthusianSolution:
     """The root rho_hat = exp(theta) and the P-F pair (h, nu) of the mixture
-    at the root, normalized nu'1 = 1 and nu'h = 1.  ``pf`` holds the P-F data
-    of each M_d, solved once at the solver's tolerance, keyed by delay.
+    at the root, normalized nu'1 = 1 and nu'h = 1.  ``beta`` holds the step
+    weights rho_d exp(-theta d), keyed by delay; they sum to one when the
+    family shares P-F eigenvectors.
 
     ``companion_residual`` is a certified bound on |rho_hat - r(C)| for the
     companion matrix C, from the Collatz-Wielandt bounds at C's closed-form
@@ -78,7 +79,6 @@ class MalthusianSolution:
     companion_residual: float
     h: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
-    pf: dict[int, PFData] = field(repr=False)
     warnings: tuple[str, ...] = ()
 
 
@@ -126,8 +126,7 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     when |theta| <= ``crit_tol``.  One last P-F solve of the mixture at the
     root gives (h, nu) and the companion certificate.
     """
-    per_delay = family_pf(family, tol)
-    rho_d = {d: per_delay[d].rho for d in family.delays}
+    rho_d = {d: pf.rho for d, pf in family_pf(family, tol).items()}
 
     # rho = min_d rho_d^{1/d} makes one mixture term already have eigenvalue
     # >= 1; the row-sum bound caps the top end.
@@ -209,6 +208,5 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
         companion_residual=residual,
         h=pf.h,
         nu=pf.nu,
-        pf=per_delay,
         warnings=tuple(warns),
     )

@@ -11,13 +11,14 @@ make that effect measurable at small s.
 
 Two independent evaluations of the kernel live here as test oracles: full
 path enumeration (exponential cost, capped) and a Monte Carlo estimator that
-draws path steps i.i.d. from the step distribution beta.  Both multiply out
-their words through one kernel, ``_add_word_products``: words go in chunks
-of bounded size, each distinct prefix in a chunk is multiplied out once, and
-the products are summed in word order, so every sum is the one a per-word
-loop of matmuls gives, bit for bit, whatever the chunking.  The sampler
-draws each block's Philox stream in consecutive row slices, so the
-estimate is the same for any slice size.
+draws path steps i.i.d. from the step weights beta scaled to sum to one and
+weights each hit by importance, so that it is unbiased for every family.
+Both multiply out their words through one kernel, ``_add_word_products``:
+words go in chunks of bounded size, each distinct prefix in a chunk is
+multiplied out once, and the products are summed in word order, so every sum
+is the one a per-word loop of matmuls gives, bit for bit, whatever the
+chunking.  The sampler draws each block's Philox stream in consecutive row
+slices, so the estimate is the same for any slice size.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import BetaNotNormalizedError, CapExceededError, SchemaError
-from .spectral import family_pf
+from .errors import CapExceededError, HorizonTooLargeError, SchemaError
 
 ENUMERATION_S_CAP = 64
 KERNEL_S_CAP = 12
@@ -212,18 +212,18 @@ def block_run_statistic(words, delays, upsilon: int, alpha: float, delta: float)
                    for d in set(delays)], axis=0)
 
 
-def _product_chunk(norm: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Normalized product of every row of ``words``, shape (rows, n, n).
+def _product_chunk(steps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Step-matrix product along every row of ``words``, shape (rows, n, n).
 
-    ``norm`` stacks rho_d^{-1} M_d by delay index; a word holds symbols
+    ``steps`` stacks one matrix per delay index; a word holds symbols
     index + 1, padded with 0 once it has ended.  Each distinct prefix is
     multiplied out once: at position j the rows are re-keyed as
     prefix id * (D + 1) + symbol, and every new prefix extends its parent by
     one matmul per delay.  A row's product is the same left-to-right chain
     I @ N_1 @ N_2 ... however the rows are grouped.
     """
-    n = norm.shape[1]
-    base = len(norm) + 1
+    n = steps.shape[1]
+    base = len(steps) + 1
     prods = np.eye(n)[None]
     ids = np.zeros(len(words), dtype=np.int64)
     for column in words.T:
@@ -237,14 +237,14 @@ def _product_chunk(norm: np.ndarray, words: np.ndarray) -> np.ndarray:
             if k == 0:
                 nxt[sel] = prods[parent[sel]]
             elif len(sel):
-                nxt[sel] = (prods[parent[sel]].reshape(-1, n) @ norm[k - 1]).reshape(-1, n, n)
+                nxt[sel] = (prods[parent[sel]].reshape(-1, n) @ steps[k - 1]).reshape(-1, n, n)
         prods = nxt
     return prods[ids]
 
 
-def _add_word_products(norm: np.ndarray, words: np.ndarray, sums: np.ndarray,
+def _add_word_products(steps: np.ndarray, words: np.ndarray, sums: np.ndarray,
                        sq_sums: np.ndarray | None = None, owner: np.ndarray | None = None) -> None:
-    """In place: add the normalized product of each row of ``words`` to
+    """In place: add the product of each row of ``words`` to
     ``sums[owner[row]]`` (and its elementwise square to ``sq_sums[owner[row]]``),
     one row at a time in row order.  ``owner`` is nondecreasing; by default
     every row goes to ``sums[0]``.
@@ -254,12 +254,12 @@ def _add_word_products(norm: np.ndarray, words: np.ndarray, sums: np.ndarray,
     the run's axis-0 sum, which adds rows in order, so the result is the
     same for any chunking.
     """
-    n = norm.shape[1]
+    n = steps.shape[1]
     rows = max(1, PRODUCT_CHUNK // (n * n))
     if owner is None:
         owner = np.zeros(len(words), dtype=np.intp)
     for lo in range(0, len(words), rows):
-        prods = _product_chunk(norm, words[lo:lo + rows])
+        prods = _product_chunk(steps, words[lo:lo + rows])
         own = owner[lo:lo + rows]
         cuts = [0, *(np.flatnonzero(own[1:] != own[:-1]) + 1), len(own)]
         for a, b in zip(cuts, cuts[1:]):
@@ -272,23 +272,14 @@ def _add_word_products(norm: np.ndarray, words: np.ndarray, sums: np.ndarray,
             run.sum(axis=0, out=sums[own[a]])
 
 
-def _normalized_stack(family, pf) -> np.ndarray:
-    """rho_d^{-1} M_d stacked in delay order, shape (D, n, n)."""
-    return np.stack([family.matrix(d) / pf[d].rho for d in family.delays])
-
-
 def xi_by_enumeration(family, s: int):
-    """Kernel at time s by summing matrix products over every backward path.
-
-    Evaluates the class-resolved form: each class k contributes
-    prod_d rho_d^{k_d} times the sum over its words of the normalized
-    products, which reproduces the plain path sum but exercises the
-    eigenvalue bookkeeping.  Returns (Xi(s), {r: Xi(s; r)}).
+    """Kernel at time s by summing M_{d_1} ... M_{d_r} over every backward
+    path (d_1, ..., d_r) spanning s.  Returns (Xi(s), {r: Xi(s; r)}), the
+    second holding the sum over the paths of each length r.
     """
     if s > KERNEL_S_CAP:
         raise CapExceededError(f"enumeration kernel capped at s <= {KERNEL_S_CAP}, got {s}")
     n = family.n_types
-    pf = family_pf(family)
     per_r: dict[int, np.ndarray] = {}
     classes = enumerate_lambda(family.delays, s)
     if not classes:  # no word spans s, as s = 3 on delays {2, 5}
@@ -298,17 +289,11 @@ def xi_by_enumeration(family, s: int):
     padded = np.concatenate([np.pad(ws, ((0, 0), (0, s - ws.shape[1]))) for ws in words])
     sym = np.searchsorted(family.delays, padded, side="right")  # delay index + 1, 0 stays 0
     acc = np.zeros((len(classes), n, n))
-    _add_word_products(_normalized_stack(family, pf), sym, acc,
+    _add_word_products(np.stack(family.matrices), sym, acc,
                        owner=np.repeat(np.arange(len(classes)), list(map(len, words))))
     for k, part in zip(classes, acc):
-        coeff = 1.0
-        for d, c in zip(k.delays, k.counts):
-            coeff *= pf[d].rho ** c
-        per_r[k.r] = per_r.get(k.r, np.zeros((n, n))) + coeff * part
-    total = np.zeros((n, n))
-    for mat in per_r.values():
-        total += mat
-    return total, per_r
+        per_r[k.r] = per_r.get(k.r, np.zeros((n, n))) + part
+    return sum(per_r.values(), np.zeros((n, n))), per_r
 
 
 def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
@@ -360,38 +345,46 @@ class SamplingEstimate:
 
 
 def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimate:
-    """Monte Carlo kernel estimate via Bernoulli path sampling.
+    """Monte Carlo kernel estimate by importance-sampled backward paths,
+    unbiased for every family.
 
-    Steps are drawn i.i.d. from beta until the running total reaches s; a
-    sample contributes the normalized matrix product along its path when the
-    total hits s exactly, and zero otherwise.  The average, scaled by
-    exp(theta*s), is an unbiased estimator of Xi(s).  The normalizing
-    rho_d come from ``mal.pf``.
+    Steps are drawn i.i.d. from p = beta / sum(beta) until the running total
+    reaches s.  A sample that hits s exactly along the word (d_1, ..., d_r)
+    weighs exp(theta*s) N_{d_1} ... N_{d_r}, with N_d = exp(-theta*d) M_d / p_d,
+    and a miss weighs zero, so the mean weight is the sum of
+    M_{d_1} ... M_{d_r} over the words spanning s, which is Xi(s).  On a
+    family sharing P-F eigenvectors, beta sums to one and N_d = M_d / rho_d
+    is the paper's normalized matrix; with one type every N_d is 1 in exact
+    arithmetic, and a hit counts 1.  Raises HorizonTooLargeError when
+    exp(theta*s) leaves the double range.
 
     Samples are assigned to fixed 2^16-sample blocks.  Block b, holding m
     samples, draws m * s uniforms, row-major, from
     ``Philox(SeedSequence((seed, b)))`` and maps each through the inverse CDF
-    of beta (the draw ``Generator.choice`` makes).  A block is drawn in
+    of p (the draw ``Generator.choice`` makes).  A block is drawn in
     consecutive slices of ``SAMPLING_SLICE`` rows from its one stream, so a
     slice holds the same doubles as the whole block at those rows and its
-    arrays stay small.  One-type hit counts are summed
-    as integers, and multi-type hit words are multiplied out in sample order
-    whatever the chunking, so the result does not depend on the slice size.
+    arrays stay small.  One-type hit counts are summed as integers, and
+    multi-type hit words are multiplied out in sample order whatever the
+    chunking, so the result does not depend on the slice size.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    total_beta = math.fsum(mal.beta.values())
-    if abs(total_beta - 1.0) > 1e-8:
-        raise BetaNotNormalizedError(total_beta)
+    try:
+        scale = math.exp(mal.theta * s)
+    except OverflowError:
+        raise HorizonTooLargeError(s) from None
     n = family.n_types
     if s == 0:
         return SamplingEstimate(np.eye(n), np.zeros((n, n)), n_samples)
 
     delays = np.array(family.delays, dtype=np.min_scalar_type(s * max(family.delays)))
     probs = np.array([mal.beta[d] for d in family.delays])
-    cdf = np.cumsum(probs / probs.sum())
+    probs = probs / probs.sum()
+    cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    norm = _normalized_stack(family, mal.pf) if n > 1 else None
+    steps = (np.stack([mat * (math.exp(-mal.theta * d) / p)
+                       for (d, mat), p in zip(family.items(), probs)]) if n > 1 else None)
 
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))
@@ -399,17 +392,15 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
         rows = min(SAMPLING_BLOCK, n_samples - first)
         rng = Generator(Philox(SeedSequence((seed, block))))
         parts = [_sample_slice(rng, min(SAMPLING_SLICE, rows - lo), s, cdf, delays,
-                               norm is not None)
+                               steps is not None)
                  for lo in range(0, rows, SAMPLING_SLICE)]
-        if norm is None:
-            # normalized 1x1 products are identically 1
+        if steps is None:  # one type: every step weight is 1
             hits = sum(parts)
             sums[0, 0] += hits
             sq_sums[0, 0] += hits
         else:
-            _add_word_products(norm, np.concatenate(parts), sums[None], sq_sums[None])
+            _add_word_products(steps, np.concatenate(parts), sums[None], sq_sums[None])
 
-    scale = math.exp(mal.theta * s)
     mean = sums / n_samples
     estimate = scale * mean
     if n_samples > 1:

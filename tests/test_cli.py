@@ -225,6 +225,30 @@ class TestDispatch:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_paths_sampling_on_a_non_shared_family(self, tmp_path, capsys):
+        doc = dict(FIB_CONFIG, types=["a", "b"], initial=0,
+                   offspring={"kind": "poisson",
+                              "means": {"1": [[1.0, 1.0], [1.0, 1.0]],
+                                        "2": [[2.0, 1.0], [1.0, 1.0]]}})
+        path = tmp_path / "non_shared.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["paths", "--config", str(path), "--s", "8",
+                         "--samples", "20000", "--seed", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        est = out["kernel_estimate"]
+        gap = np.abs(np.array(est["estimate"]) - np.array(out["kernel_exact"]))
+        assert np.all(gap <= 4 * np.array(est["stderr"]))
+
+    def test_paths_sampling_scale_beyond_double_range(self, tmp_path, capsys):
+        # theta * s is about 829, so exp(theta * s) overflows a double
+        doc = dict(FIB_CONFIG, offspring={"kind": "poisson",
+                                          "means": {"1": [[1e6]], "2": [[1.0]]}})
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["paths", "--config", str(path), "--s", "60",
+                         "--samples", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:HorizonTooLargeError:")
+
     def test_spectral(self, fib_config, capsys):
         assert dispatch(["spectral", "--config", fib_config]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -743,8 +767,9 @@ class TestSpectralSolvesOnce:
     @pytest.mark.parametrize("argv", [["limits", "--horizon", "50"],
                                       ["paths", "--s", "6", "--samples", "2000", "--seed", "3"]])
     def test_no_delay_solved_twice_after_the_root(self, argv, tmp_path, capsys, monkeypatch):
-        # limits and paths --samples read the per-delay P-F data of the root's
-        # solve, so they make no P-F solve beyond solve_malthusian's own
+        # limits reads the mixture's P-F pair from the root's solve and
+        # paths --samples reads only its theta and beta, so neither makes a
+        # P-F solve beyond solve_malthusian's own
         fam, _, _, _ = make_shared_family(np.random.default_rng(43), 3, (1, 2, 3, 5))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
         path = tmp_path / "shared4.json"

@@ -8,12 +8,12 @@ from numpy.random import Generator, Philox, SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedbp import (BetaNotNormalizedError, CapExceededError,
+from delayedbp import (CapExceededError, HorizonTooLargeError,
                        MeanMatrixFamily, StepCountVector, block_run_statistic,
                        enumerate_lambda, enumerate_words, has_kappa_run,
                        multinomial_size, run_fraction, solve_malthusian,
                        xi_by_enumeration, xi_by_sampling, xi_kernel)
-from delayedbp import paths
+from delayedbp import malthusian, paths, spectral
 from delayedbp.paths import SAMPLING_BLOCK, _inverse_cdf
 from conftest import make_shared_family, random_positive_family
 
@@ -267,6 +267,18 @@ class TestXiByEnumeration:
         with pytest.raises(CapExceededError):
             xi_by_enumeration(fib_family, 13)
 
+    def test_no_pf_solve(self, monkeypatch):
+        # the plain path sum needs no eigenvalue of any M_d
+        fam = random_positive_family(np.random.default_rng(141), 3, (1, 2, 3), scale=0.9)
+        calls = []
+        real = spectral.pf_decompose
+        counting = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+        monkeypatch.setattr(spectral, "pf_decompose", counting)
+        monkeypatch.setattr(malthusian, "pf_decompose", counting)
+        total, _ = xi_by_enumeration(fam, 8)
+        assert not calls
+        assert np.max(np.abs(total - xi_kernel(fam, 8))) <= 1e-12 * np.max(total)
+
     def test_no_class_spans_s(self):
         fam = random_positive_family(np.random.default_rng(139), 2, (2, 5), scale=0.9)
         for s in (1, 3):
@@ -310,24 +322,38 @@ class TestXiBySampling:
         assert np.array_equal(a.estimate, b.estimate)
         assert np.array_equal(a.stderr, b.stderr)
 
-    def test_beta_not_normalized(self):
+    def test_non_shared_family_within_clt_band(self):
+        # the importance weights keep the estimator unbiased where beta does
+        # not sum to one
         fam = MeanMatrixFamily((1, 2), (np.ones((2, 2)),
                                         np.array([[2.0, 1.0], [1.0, 1.0]])))
         sol = solve_malthusian(fam)
-        with pytest.raises(BetaNotNormalizedError):
-            xi_by_sampling(fam, sol, 4, 100, seed=5)
+        assert abs(math.fsum(sol.beta.values()) - 1.0) > 1e-3
+        est = xi_by_sampling(fam, sol, 8, 20000, seed=5)
+        exact = xi_kernel(fam, 8)
+        assert np.all(np.abs(est.estimate - exact) <= 4 * est.stderr)
+
+    def test_scale_beyond_double_range(self):
+        # theta * s is about 829, so exp(theta * s) overflows a double
+        fam = MeanMatrixFamily((1, 2), (np.array([[1e6]]), np.array([[1.0]])))
+        sol = solve_malthusian(fam)
+        with pytest.raises(HorizonTooLargeError) as info:
+            xi_by_sampling(fam, sol, 60, 10, seed=1)
+        assert info.value.s == 60
 
 
 def _loop_sampling(family, mal, s, n_samples, seed):
     """The sampler as a per-row loop: steps from ``Generator.choice``, one
-    chain of matmuls per hit sample, accumulated in sample order."""
+    chain of matmuls per hit sample, accumulated in sample order.  A step d
+    weighs exp(-theta d) M_d / p_d, or 1 with one type."""
     n = family.n_types
     if s == 0:
         return np.eye(n), np.zeros((n, n))
     delays = np.array(family.delays)
     probs = np.array([mal.beta[d] for d in family.delays])
     probs = probs / probs.sum()
-    norm = {d: family.matrix(d) / mal.pf[d].rho for d in family.delays}
+    weight = {d: family.matrix(d) * (math.exp(-mal.theta * d) / p) if n > 1 else np.ones((1, 1))
+              for d, p in zip(family.delays, probs)}
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))
     for block_idx, lo in enumerate(range(0, n_samples, SAMPLING_BLOCK)):
@@ -339,7 +365,7 @@ def _loop_sampling(family, mal, s, n_samples, seed):
         for row in np.flatnonzero(csum[np.arange(b), stop] == s):
             prod = np.eye(n)
             for d in steps[row, :stop[row] + 1]:
-                prod = prod @ norm[d]
+                prod = prod @ weight[d]
             sums += prod
             sq_sums += prod * prod
     scale = math.exp(mal.theta * s)
