@@ -73,9 +73,9 @@ class TailDivergesError(DelayedBPError):
 
 
 class HorizonTooLargeError(DelayedBPError):
-    def __init__(self, s):
+    def __init__(self, s, what="mean trajectory exceeded 1e300"):
         self.s = s
-        super().__init__(f"mean trajectory exceeded 1e300 at time {s}")
+        super().__init__(f"{what} at time {s}")
 
 
 class OutOfMemoryError(DelayedBPError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailureError
-from .spectral import PFData, family_pf, matrix_inf_norm, pf_decompose
+from .spectral import PFData, _pf_solve, family_pf, matrix_inf_norm, pf_decompose
 
 RHO_MIN = 1e-9
 RHO_MAX = 1e9
@@ -43,9 +43,11 @@ def mixture_matrix(family, rho: float) -> np.ndarray:
     return math.exp(c) * sum(mat for _, mat in terms)
 
 
-def _log_growth(family, t: float, tol: float) -> tuple[float, float]:
+def _log_growth(family, t: float, tol: float, start: PFData) -> tuple[float, float, PFData]:
     """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, and its
-    derivative in t, from the scaled terms: log lambda = log lambda_c + c.
+    derivative in t, from the scaled terms: log lambda = log lambda_c + c,
+    and the mixture's P-F data, solved from ``start``.  The mixture is
+    irreducible unchecked, as a positive sum of the irreducible M_d.
 
     First-order P-F perturbation (nu'h = 1) gives
     d lambda/dt = nu' (sum_d -d e^{-d t} M_d) h, so dg/dt is that over
@@ -54,9 +56,9 @@ def _log_growth(family, t: float, tol: float) -> tuple[float, float]:
     with log-convex entries is log-convex (Kingman, 1961).
     """
     terms, c = _scaled_terms(family, t)
-    pf = pf_decompose(sum(mat for _, mat in terms), tol)
+    pf = _pf_solve(sum(mat for _, mat in terms), tol, start, irreducible=True)
     slope = -math.fsum(d * float(pf.nu @ mat @ pf.h) for d, mat in terms)
-    return math.log(pf.rho) + c, slope / pf.rho
+    return math.log(pf.rho) + c, slope / pf.rho, pf
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,12 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     when the family shares P-F eigenvectors; otherwise a warning is attached
     rather than renormalizing.  The regime follows theta alone, critical
     when |theta| <= ``crit_tol``.  One last P-F solve of the mixture at the
-    root gives (h, nu) and the companion certificate.
+    root gives (h, nu) and the companion certificate.  Each mixture solve
+    starts from the pair of the one before it, the first from the last
+    delay's, so near the root it takes one or two LU solves per side.
     """
-    rho_d = {d: pf.rho for d, pf in family_pf(family, tol).items()}
+    pf_d = family_pf(family, tol)
+    rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
     # rho = min_d rho_d^{1/d} makes one mixture term already have eigenvalue
     # >= 1; the row-sum bound caps the top end.
@@ -138,24 +143,24 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     hi = min(max(lo, hi), RHO_MAX)
 
     # widen defensively if rounding pushed the analytic bracket off the root
-    g_lo = _log_growth(family, math.log(lo), tol)
+    g_lo = _log_growth(family, math.log(lo), tol, pf_d[d_max])
     for _ in range(MAX_EXPANSIONS):
         if g_lo[0] >= 0.0 or lo <= RHO_MIN:
             break
         lo = max(lo / 2.0, RHO_MIN)
-        g_lo = _log_growth(family, math.log(lo), tol)
-    g_hi = _log_growth(family, math.log(hi), tol)
+        g_lo = _log_growth(family, math.log(lo), tol, g_lo[2])
+    g_hi = _log_growth(family, math.log(hi), tol, g_lo[2])
     for _ in range(MAX_EXPANSIONS):
         if g_hi[0] <= 0.0 or hi >= RHO_MAX:
             break
         hi = min(hi * 2.0, RHO_MAX)
-        g_hi = _log_growth(family, math.log(hi), tol)
+        g_hi = _log_growth(family, math.log(hi), tol, g_hi[2])
     if g_lo[0] < 0.0 or g_hi[0] > 0.0:
         raise BracketFailureError(
             f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
 
     t_lo, t_hi = math.log(lo), math.log(hi)
-    t, (g, slope) = (t_lo, g_lo) if g_lo[0] <= -g_hi[0] else (t_hi, g_hi)
+    t, (g, slope, pf) = (t_lo, g_lo) if g_lo[0] <= -g_hi[0] else (t_hi, g_hi)
     for _ in range(MAX_NEWTON):
         if g == 0.0:
             break
@@ -169,7 +174,7 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
             t += step
         else:
             t = 0.5 * (t_lo + t_hi)
-        g, slope = _log_growth(family, t, tol)
+        g, slope, pf = _log_growth(family, t, tol, pf)
         if g > 0.0:
             t_lo = t
         else:
@@ -195,7 +200,7 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
     # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
     terms, c = _scaled_terms(family, theta)
     mix = sum(mat for _, mat in terms)
-    pf = pf_decompose(mix, tol)
+    pf = _pf_solve(mix, tol, pf, irreducible=True)
     a = math.exp(c) * (pf.nu @ mix) / pf.nu
     residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 

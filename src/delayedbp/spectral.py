@@ -21,7 +21,7 @@ from .errors import (NegativeEntryError, NoConvergenceError, NotStochasticError,
 
 DEFAULT_TOL = 1e-12
 SHARING_TOL = 1e-8
-MAX_ITERS = 50  # shift-and-invert solves per side; 4-6 are typical
+MAX_ITERS = 50  # shift-and-invert solves per side; 4-6 from A1, 0-2 warm
 
 
 def matrix_inf_norm(a: np.ndarray) -> float:
@@ -91,7 +91,8 @@ class PFData:
     residual_left: float
 
 
-def _pf_vector(a: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+def _pf_vector(a: np.ndarray, tol: float,
+               start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Right P-F vector of an irreducible nonnegative matrix, summing to one,
     by Noda's shift-and-invert iteration; returns it with the iteration count.
 
@@ -101,20 +102,27 @@ def _pf_vector(a: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     While sigma is far above rho a solve can change the ratio of two entries
     of v by at most a factor of two, so the iteration starts from A1 rather
     than from the uniform vector: that one power step already carries most of
-    the scale of a badly scaled P-F vector.
+    the scale of a badly scaled P-F vector.  A positive ``start`` (the P-F
+    vector of a nearby matrix) replaces A1 when its spread, defined below, is
+    the smaller on ``a``.
     The loop stops once the ratio spread times max(v)/min(v) is within
     ``tol * max(1, sigma)`` (that product bounds the residual of v rescaled
     to nu'v = 1), once sigma stops falling (rounding floor), or after
     ``MAX_ITERS`` solves.
     """
+    def bound(v):  # (sigma, spread) at v
+        ratio = (a @ v) / v
+        sigma = float(ratio.max())
+        return sigma, (sigma - float(ratio.min())) * float(v.max() / v.min())
+
     eye = np.eye(a.shape[0])
     v = a.sum(axis=1)  # A1: positive, since no row of an irreducible A is zero
     v /= v.sum()
+    if start is not None and bound(start)[1] < bound(v)[1]:
+        v = start / start.sum()
     sigma_prev = math.inf
     for k in range(1, MAX_ITERS + 1):
-        ratio = (a @ v) / v
-        sigma = float(ratio.max())
-        spread = (sigma - float(ratio.min())) * float(v.max() / v.min())
+        sigma, spread = bound(v)
         if spread <= tol * max(1.0, sigma) or sigma >= sigma_prev:
             return v, k
         sigma_prev = sigma
@@ -138,12 +146,18 @@ def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
     the two-sided Rayleigh quotient.  Residuals are measured in the infinity
     norm and must end below ``tol * max(1, rho)``, else NoConvergenceError.
     """
+    return _pf_solve(m, tol)
+
+
+def _pf_solve(m, tol: float, start: PFData | None = None, irreducible=False) -> PFData:
+    """``pf_decompose``, each side offered the matching vector of ``start``
+    (see ``_pf_vector``); ``irreducible`` skips that check."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if not is_irreducible(m):
+    if not (irreducible or is_irreducible(m)):
         raise ValueError("matrix is reducible")
     n = m.shape[0]
     if n == 1:
@@ -151,8 +165,8 @@ def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
         return PFData(rho=float(m[0, 0]), h=one, nu=one.copy(),
                       residual_right=0.0, residual_left=0.0)
 
-    h, iters_r = _pf_vector(m, tol)
-    nu, iters_l = _pf_vector(m.T, tol)
+    h, iters_r = _pf_vector(m, tol, None if start is None else start.h)
+    nu, iters_l = _pf_vector(m.T, tol, None if start is None else start.nu)
     rho = float((nu @ m @ h) / (nu @ h))
     h_out = h / (nu @ h)
     res_r = float(np.max(np.abs(m @ h_out - rho * h_out)))
@@ -160,12 +174,19 @@ def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
     if max(res_r, res_l) <= tol * max(1.0, abs(rho)):
         return PFData(rho=rho, h=h_out, nu=nu,
                       residual_right=res_r, residual_left=res_l)
+    if start is not None:  # a warm start never fails where a cold one passes
+        return _pf_solve(m, tol, irreducible=True)
     raise NoConvergenceError(max(iters_r, iters_l))
 
 
 def family_pf(family, tol: float = DEFAULT_TOL) -> dict[int, PFData]:
-    """P-F data for every matrix in a MeanMatrixFamily, keyed by delay."""
-    return {d: pf_decompose(mat, tol) for d, mat in family.items()}
+    """P-F data for every matrix in a MeanMatrixFamily, keyed by delay; each
+    solve is offered the previous delay's pair as its start, so on a shared
+    family every delay after the first needs no LU solve."""
+    pf, prev = {}, None
+    for d, mat in family.items():
+        pf[d] = prev = _pf_solve(mat, tol, prev)
+    return pf
 
 
 @dataclass(frozen=True)

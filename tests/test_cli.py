@@ -247,7 +247,10 @@ class TestDispatch:
         path.write_text(json.dumps(doc))
         assert dispatch(["paths", "--config", str(path), "--s", "60",
                          "--samples", "10", "--seed", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error:HorizonTooLargeError:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:HorizonTooLargeError: kernel scale exp(theta*s) = exp(828.9")
+        assert "leaves the double range at time 60" in err
+        assert "trajectory" not in err
 
     def test_spectral(self, fib_config, capsys):
         assert dispatch(["spectral", "--config", fib_config]) == 0
@@ -757,9 +760,10 @@ class TestSpectralSolvesOnce:
         return str(path)
 
     def test_one_pf_solve_per_delay(self, tmp_path, capsys, monkeypatch):
+        # every P-F solve, pf_decompose's included, runs through _pf_solve
         calls = []
-        real = spec_mod.pf_decompose
-        monkeypatch.setattr(spec_mod, "pf_decompose",
+        real = spec_mod._pf_solve
+        monkeypatch.setattr(spec_mod, "_pf_solve",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert dispatch(["spectral", "--config", self._shared_config(tmp_path)]) == 0
         assert len(calls) == 3
@@ -775,10 +779,10 @@ class TestSpectralSolvesOnce:
         path = tmp_path / "shared4.json"
         path.write_text(json.dumps(model_to_config(model)))
         calls = []
-        real = spec_mod.pf_decompose
+        real = spec_mod._pf_solve
         counting = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
-        monkeypatch.setattr(spec_mod, "pf_decompose", counting)
-        monkeypatch.setattr(mal_mod, "pf_decompose", counting)
+        monkeypatch.setattr(spec_mod, "_pf_solve", counting)
+        monkeypatch.setattr(mal_mod, "_pf_solve", counting)
         assert dispatch(["malthusian", "--config", str(path)]) == 0
         solve = len(calls)
         assert solve > 4
@@ -838,3 +842,22 @@ def test_out_of_memory_is_typed(argv, fib_config):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:OutOfMemoryError: ")
+
+
+def test_import_loads_no_optional_module():
+    # start-up time: importing the package and its CLI pulls in no test
+    # oracle and no module that only some subcommands need
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, delayedbp, delayedbp.cli; print(sorted(set(sys.modules) & "
+            "{'scipy', 'mpmath', 'hypothesis', 'delayedbp.csvrows'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

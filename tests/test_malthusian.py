@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayedbp
-from delayedbp import malthusian
+from delayedbp import malthusian, spectral
 from delayedbp.cli import dispatch, model_to_config
 from delayedbp import (BracketFailureError, LifetimeLaw, MeanMatrixFamily,
                        build_companion, evolve_means, mixture_matrix,
@@ -95,30 +95,62 @@ class TestSolveMalthusian:
         radius = float(np.max(np.abs(np.linalg.eigvals(build_companion(fam).matrix))))
         assert sol.rho_hat == pytest.approx(radius, rel=1e-12)
 
-    def test_newton_needs_few_pf_solves(self, monkeypatch):
-        # a bisection fallback would take ~60 solves per root
-        calls = []
-        real = malthusian.pf_decompose
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(malthusian, "pf_decompose", counting)
+    @staticmethod
+    def _seeded_families():
+        """40 families, alternately shared (slow- to fast-mixing) and random
+        positive, with 1-8 types and 1-4 delays from {1..5}."""
         rng = np.random.default_rng(89)
         for k in range(40):
             n = int(rng.integers(1, 9))
             delays = tuple(sorted(rng.choice(np.arange(1, 6), size=int(rng.integers(1, 5)),
                                              replace=False).tolist()))
             if k % 2:
-                fam = random_positive_family(rng, n, delays,
-                                             scale=float(rng.uniform(0.2, 5.0)))
+                yield False, random_positive_family(rng, n, delays,
+                                                    scale=float(rng.uniform(0.2, 5.0)))
             else:
-                fam, _, _, _ = make_shared_family(rng, n, delays,
-                                                  mix=float(rng.uniform(0.01, 1.0)))
+                yield True, make_shared_family(rng, n, delays,
+                                               mix=float(rng.uniform(0.01, 1.0)))[0]
+
+    def test_newton_needs_few_pf_solves(self, monkeypatch):
+        # a bisection fallback would take ~60 solves per root; the mixture
+        # solves run through malthusian._pf_solve, the per-delay ones do not
+        calls = []
+        real = malthusian._pf_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(malthusian, "_pf_solve", counting)
+        for _, fam in self._seeded_families():
             calls.clear()
             solve_malthusian(fam)
             assert len(calls) <= 20
+
+    def test_warm_starts_cut_linear_solves(self, monkeypatch):
+        # each P-F solve on the root path starts from the previous pair: a
+        # shared family's root takes a few LU solves (32-120 from cold
+        # starts), and no family takes more than from cold starts
+        solves = []
+        real_solve, real_vector = np.linalg.solve, spectral._pf_vector
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or real_solve(*args))
+        cold_shared = []
+        for shared, fam in self._seeded_families():
+            counts = []
+            for cold in (False, True):
+                monkeypatch.setattr(spectral, "_pf_vector",
+                                    (lambda a, tol, start=None: real_vector(a, tol))
+                                    if cold else real_vector)
+                solves.clear()
+                solve_malthusian(fam)
+                counts.append(len(solves))
+            warm, cold = counts
+            assert warm <= cold
+            if shared:
+                assert warm <= 16
+                cold_shared.append(cold)
+        assert max(cold_shared) >= 32
 
 
 class TestCompanion:

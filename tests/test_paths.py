@@ -271,10 +271,10 @@ class TestXiByEnumeration:
         # the plain path sum needs no eigenvalue of any M_d
         fam = random_positive_family(np.random.default_rng(141), 3, (1, 2, 3), scale=0.9)
         calls = []
-        real = spectral.pf_decompose
+        real = spectral._pf_solve
         counting = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
-        monkeypatch.setattr(spectral, "pf_decompose", counting)
-        monkeypatch.setattr(malthusian, "pf_decompose", counting)
+        monkeypatch.setattr(spectral, "_pf_solve", counting)
+        monkeypatch.setattr(malthusian, "_pf_solve", counting)
         total, _ = xi_by_enumeration(fam, 8)
         assert not calls
         assert np.max(np.abs(total - xi_kernel(fam, 8))) <= 1e-12 * np.max(total)
@@ -340,6 +340,8 @@ class TestXiBySampling:
         with pytest.raises(HorizonTooLargeError) as info:
             xi_by_sampling(fam, sol, 60, 10, seed=1)
         assert info.value.s == 60
+        assert str(info.value) == (f"kernel scale exp(theta*s) = exp({sol.theta * 60!r}) "
+                                   "leaves the double range at time 60")
 
 
 def _loop_sampling(family, mal, s, n_samples, seed):

@@ -11,7 +11,7 @@ from delayedbp import (MeanMatrixFamily, NoConvergenceError,
                        construct_shared_family_reversed, family_pf,
                        is_irreducible, normalized_word_product, period,
                        pf_decompose, shared_pf_check, weight_ratio)
-from delayedbp.spectral import DEFAULT_TOL, matrix_inf_norm
+from delayedbp.spectral import DEFAULT_TOL, _pf_solve, matrix_inf_norm
 from conftest import make_shared_family, random_stochastic
 
 
@@ -146,16 +146,40 @@ class TestPFDecompose:
         assert 1 <= info.value.iterations <= 50
 
 
-def assert_matches_eigvals(m):
-    """pf_decompose agrees with the dense spectral radius to 1e-12 relative,
-    with positive normalized eigenvectors and its residual guarantee."""
-    pf = pf_decompose(m)
+def assert_matches_eigvals(m, start=None):
+    """pf_decompose, or the solve started from the pair ``start``, agrees
+    with the dense spectral radius to 1e-12 relative, with positive
+    normalized eigenvectors and its residual guarantee."""
+    pf = pf_decompose(m) if start is None else _pf_solve(m, DEFAULT_TOL, start)
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert pf.rho == pytest.approx(radius, rel=1e-12)
     assert np.all(pf.h > 0) and np.all(pf.nu > 0)
     assert pf.nu.sum() == pytest.approx(1.0, abs=1e-12)
     assert pf.nu @ pf.h == pytest.approx(1.0, abs=1e-12)
     assert max(pf.residual_right, pf.residual_left) <= DEFAULT_TOL * max(1.0, pf.rho)
+    return pf
+
+
+def assert_warm_start_agrees(m):
+    """Solves started from the pair of an unrelated matrix of the same size
+    and from that of a nearby one (same zeros) meet assert_matches_eigvals,
+    with rho within 1e-12 relative of the cold solve."""
+    rng = np.random.default_rng(len(m))
+    cold = assert_matches_eigvals(m)
+    for other in (rng.uniform(0.01, 2.0, size=m.shape), m * rng.uniform(0.9, 1.1, size=m.shape)):
+        warm = assert_matches_eigvals(m, pf_decompose(other))
+        assert warm.rho == pytest.approx(cold.rho, rel=1e-12)
+
+
+def hard_matrix(rng, n):
+    """Irreducible, sparse, entries over ~5 decades, diagonally scaled: P-F
+    vectors with weight ratios up to ~1e8, near the residual's reach."""
+    while True:
+        m = (rng.random((n, n)) < rng.uniform(0.2, 0.6)) * np.exp(rng.uniform(-6, 6, (n, n)))
+        d = np.exp(rng.uniform(-4, 4, n))
+        m = d[:, None] * m / d[None, :] * np.exp(rng.uniform(-3, 3, n))
+        if is_irreducible(m):
+            return m
 
 
 class TestPFOracle:
@@ -163,7 +187,7 @@ class TestPFOracle:
     @settings(max_examples=40, deadline=None)
     def test_dense(self, seed, n):
         rng = np.random.default_rng(seed)
-        assert_matches_eigvals(rng.uniform(0.01, 2.0, size=(n, n)))
+        assert_warm_start_agrees(rng.uniform(0.01, 2.0, size=(n, n)))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.floats(0.01, 0.2))
     @settings(max_examples=40, deadline=None)
@@ -172,7 +196,7 @@ class TestPFOracle:
         fam, _, _, _ = make_shared_family(np.random.default_rng(seed), n, (1, 2),
                                           mix=mix)
         for mat in fam.matrices:
-            assert_matches_eigvals(mat)
+            assert_warm_start_agrees(mat)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(2, 4),
            st.sets(st.integers(1, 4), min_size=1, max_size=3))
@@ -183,7 +207,33 @@ class TestPFOracle:
         delays = tuple(sorted(g * k for k in steps))
         fam = MeanMatrixFamily(delays, tuple(rng.uniform(0.05, 1.0, size=(n, n))
                                              for _ in delays))
-        assert_matches_eigvals(build_companion(fam).matrix)
+        assert_warm_start_agrees(build_companion(fam).matrix)
+
+    def test_warm_start_never_loses_a_cold_success(self):
+        # the hard class of the absolute residual bound: a start taken from
+        # the last same-size matrix or from a nearby one must not turn a
+        # converging solve into NoConvergenceError
+        rng = np.random.default_rng(1)
+        last, passed = {}, 0
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            m = hard_matrix(rng, n)
+            try:
+                cold = pf_decompose(m)
+            except NoConvergenceError:
+                cold = None
+            try:
+                near = pf_decompose(m * rng.uniform(0.9, 1.1, size=m.shape))
+            except NoConvergenceError:
+                near = None
+            for start in (last.get(n), near):
+                if cold is not None and start is not None:
+                    warm = _pf_solve(m, DEFAULT_TOL, start)
+                    assert warm.rho == pytest.approx(cold.rho, rel=1e-10)
+                    passed += 1
+            if cold is not None:
+                last[n] = cold
+        assert passed >= 300
 
 
 class TestSharedCheck:
@@ -207,6 +257,21 @@ class TestSharedCheck:
         rep = shared_pf_check(fam)
         assert not rep.shared
         assert rep.h is None and rep.nu is None
+
+    def test_non_shared_family_keeps_its_deviation(self):
+        # warm starts along the delays change no verdict: the deviation is
+        # that of independent cold solves to rounding
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            fam = MeanMatrixFamily((1, 2, 4), tuple(rng.uniform(0.05, 1.0, size=(n, n))
+                                                    for _ in range(3)))
+            cold = {d: pf_decompose(mat) for d, mat in fam.items()}
+            dev = max(max(float(np.max(np.abs(p.h - cold[1].h))),
+                          float(np.max(np.abs(p.nu - cold[1].nu)))) for p in cold.values())
+            rep = shared_pf_check(fam)
+            assert not rep.shared
+            assert abs(rep.max_deviation - dev) <= 1e-12
 
     def test_constructed_family_always_shares(self):
         rng = np.random.default_rng(31)
