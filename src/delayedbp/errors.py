@@ -55,7 +55,7 @@ class NotStochasticError(DelayedBPError):
 
 
 class BracketFailureError(DelayedBPError):
-    """No sign change for the growth-rate equation inside [1e-9, 1e9]."""
+    """The Malthusian root lies outside [1e-9, 1e9]."""
 
 
 class PeriodicFamilyError(DelayedBPError):

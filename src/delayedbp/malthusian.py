@@ -1,7 +1,9 @@
 """Malthusian growth rate of the delayed process and its companion encoding.
 
 The growth rate theta = log(rho_hat) is pinned down by requiring the P-F
-eigenvalue of the mixture sum_d rho_hat^{-d} M_d to equal one.  The same
+eigenvalue of the mixture sum_d rho_hat^{-d} M_d to equal one.  Newton's
+method on the convex log-eigenvalue finds it, started at the analytic lower
+bound log min_d rho_d^{1/d}, from which it climbs monotonically.  The same
 rho_hat is the P-F eigenvalue of a companion matrix on the enlarged type
 space {1..D} x types, which turns the delayed process into an ordinary
 multi-type branching process.  The companion's P-F vectors are closed forms
@@ -23,9 +25,10 @@ from .spectral import PFData, _pf_solve, family_pf, matrix_inf_norm, pf_decompos
 
 RHO_MIN = 1e-9
 RHO_MAX = 1e9
-MAX_EXPANSIONS = 200  # bracket doublings per end
-MAX_NEWTON = 100  # safeguarded Newton steps; 3-6 are typical
+MAX_NEWTON = 100  # Newton steps; 3-6 g evaluations per root measured, 1 for one delay
 NEWTON_STEP_TOL = 1e-9
+TOL = 1e-12  # P-F residual of every solve on the root path
+CRIT_TOL = 1e-9  # |theta| at or below which the regime is critical
 
 
 def _scaled_terms(family, t: float) -> tuple[list[tuple[int, np.ndarray]], float]:
@@ -110,78 +113,43 @@ def build_companion(family, tol: float = 1e-12) -> CompanionSystem:
     return CompanionSystem(matrix=tm, index=index, pf=pf_decompose(tm, tol))
 
 
-def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> MalthusianSolution:
+def solve_malthusian(family) -> MalthusianSolution:
     """Find rho_hat > 0 with P-F eigenvalue of sum_d rho_hat^{-d} M_d equal 1.
 
-    The root of g(t) = log(eigenvalue) at t = log(rho) is found by Newton's
-    method with the closed-form slope from the P-F triple (see
-    ``_log_growth``), safeguarded by a bracket: a step that leaves the
-    bracket is replaced by bisection.  Since g is decreasing and convex,
-    Newton converges from either end in a handful of steps.  The initial
-    bracket comes from per-matrix eigenvalues (lower end) and row-sum norms
-    (upper end); if that bracket is somehow invalid the search expands inside
-    [1e-9, 1e9] before giving up with BracketFailureError.
+    The root of g(t) = log(eigenvalue) at t = log(rho) is found by plain
+    Newton's method with the closed-form slope from the P-F triple (see
+    ``_log_growth``), with no bracket and no bisection.  It starts at
+    t0 = log min_d rho_d^{1/d}, where one mixture term alone has eigenvalue
+    one, so g(t0) >= 0.  The slope is -sum_d d w_d with weights w_d summing
+    to one, so it lies in [-D, -d_min] and is never zero; and g is convex,
+    so each Newton step lands at or below the root: the iterates climb to it
+    monotonically.  A root outside [1e-9, 1e9] raises BracketFailureError.
 
     The step distribution beta_d = rho_d * exp(-theta*d) sums to one exactly
     when the family shares P-F eigenvectors; otherwise a warning is attached
     rather than renormalizing.  The regime follows theta alone, critical
-    when |theta| <= ``crit_tol``.  One last P-F solve of the mixture at the
+    when |theta| <= ``CRIT_TOL``.  One last P-F solve of the mixture at the
     root gives (h, nu) and the companion certificate.  Each mixture solve
     starts from the pair of the one before it, the first from the last
     delay's, so near the root it takes one or two LU solves per side.
     """
-    pf_d = family_pf(family, tol)
+    pf_d = family_pf(family, TOL)
     rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
-    # rho = min_d rho_d^{1/d} makes one mixture term already have eigenvalue
-    # >= 1; the row-sum bound caps the top end.
-    lo = min(r ** (1.0 / d) for d, r in rho_d.items())
-    norm_sum = sum(matrix_inf_norm(mat) for _, mat in family.items())
-    d_min, d_max = family.delays[0], family.delays[-1]
-    hi = norm_sum ** (1.0 / d_min) if norm_sum >= 1.0 else norm_sum ** (1.0 / d_max)
-    lo = min(max(min(lo, hi), RHO_MIN), RHO_MAX)
-    hi = min(max(lo, hi), RHO_MAX)
-
-    # widen defensively if rounding pushed the analytic bracket off the root
-    g_lo = _log_growth(family, math.log(lo), tol, pf_d[d_max])
-    for _ in range(MAX_EXPANSIONS):
-        if g_lo[0] >= 0.0 or lo <= RHO_MIN:
-            break
-        lo = max(lo / 2.0, RHO_MIN)
-        g_lo = _log_growth(family, math.log(lo), tol, g_lo[2])
-    g_hi = _log_growth(family, math.log(hi), tol, g_lo[2])
-    for _ in range(MAX_EXPANSIONS):
-        if g_hi[0] <= 0.0 or hi >= RHO_MAX:
-            break
-        hi = min(hi * 2.0, RHO_MAX)
-        g_hi = _log_growth(family, math.log(hi), tol, g_hi[2])
-    if g_lo[0] < 0.0 or g_hi[0] > 0.0:
-        raise BracketFailureError(
-            f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
-
-    t_lo, t_hi = math.log(lo), math.log(hi)
-    t, (g, slope, pf) = (t_lo, g_lo) if g_lo[0] <= -g_hi[0] else (t_hi, g_hi)
+    theta = min(math.log(r) / d for d, r in rho_d.items())
+    pf = pf_d[family.delays[-1]]
     for _ in range(MAX_NEWTON):
-        if g == 0.0:
-            break
-        step = -g / slope if slope < 0.0 else math.inf
-        if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(t)):
+        g, slope, pf = _log_growth(family, theta, TOL, pf)
+        step = -g / slope
+        if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(theta)):
             # quadratic convergence: the error left after this step is far
             # below the rounding of g, so it needs no evaluation
-            t += step
+            theta += step
             break
-        if t_lo < t + step < t_hi:
-            t += step
-        else:
-            t = 0.5 * (t_lo + t_hi)
-        g, slope, pf = _log_growth(family, t, tol, pf)
-        if g > 0.0:
-            t_lo = t
-        else:
-            t_hi = t
-        if t_hi - t_lo <= 1e-16 * (1.0 + abs(t)):
-            break
-    theta = t
+        theta += step
+    if not math.log(RHO_MIN) <= theta <= math.log(RHO_MAX):
+        raise BracketFailureError(
+            f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
     rho_hat = math.exp(theta)
 
     beta = {d: rho_d[d] * math.exp(-theta * d) for d in family.delays}
@@ -193,14 +161,14 @@ def solve_malthusian(family, tol: float = 1e-12, crit_tol: float = 1e-9) -> Malt
             f"step weights sum to {sum_beta!r}, not 1: the family does not "
             "share P-F eigenvectors and beta is not a probability vector")
 
-    regime = ("critical" if abs(theta) <= crit_tol
+    regime = ("critical" if abs(theta) <= CRIT_TOL
               else "supercritical" if theta > 0 else "subcritical")
 
     # the companion's left vector x(d) = rho_hat^{-(d-1)} nu has ratio
     # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
     terms, c = _scaled_terms(family, theta)
     mix = sum(mat for _, mat in terms)
-    pf = _pf_solve(mix, tol, pf, irreducible=True)
+    pf = _pf_solve(mix, TOL, pf, irreducible=True)
     a = math.exp(c) * (pf.nu @ mix) / pf.nu
     residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 

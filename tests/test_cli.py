@@ -729,7 +729,7 @@ class TestLargeDelays:
 
     @pytest.mark.parametrize("argv", [["malthusian"], ["evolve", "--horizon", "50"], ["limits"]])
     def test_no_traceback_at_delay_3000(self, argv, tmp_path, capsys):
-        # rho ** -3000 passes the double range at the bracket's low end
+        # rho ** -3000 passes the double range at the Newton start
         path = self._config(tmp_path, (1, 3000), ([[0.3, 0.2], [0.1, 0.4]],
                                                   [[0.2, 0.1], [0.3, 0.2]]))
         code = dispatch([*argv, "--config", path, "--out", str(tmp_path / "out")])

@@ -79,8 +79,9 @@ class TestSolveMalthusian:
             elif expected == "subcritical":
                 assert sol.theta < 0
 
-    def test_bracket_failure(self):
-        fam = MeanMatrixFamily((1,), (np.array([[1e12]]),))
+    @pytest.mark.parametrize("m", [1e12, 1e-12], ids=["high", "low"])
+    def test_bracket_failure(self, m):
+        fam = MeanMatrixFamily((1,), (np.array([[m]]),))
         with pytest.raises(BracketFailureError):
             solve_malthusian(fam)
 
@@ -94,6 +95,20 @@ class TestSolveMalthusian:
         sol = solve_malthusian(fam)
         radius = float(np.max(np.abs(np.linalg.eigvals(build_companion(fam).matrix))))
         assert sol.rho_hat == pytest.approx(radius, rel=1e-12)
+
+    def test_matches_companion_eigvals_across_scales(self):
+        # each M_d scaled apart by up to 1e+-4; at 1e+-6 the dense
+        # companion's own pf_decompose stops converging
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            delays = tuple(sorted(rng.choice(np.arange(1, 13), size=int(rng.integers(2, 5)),
+                                             replace=False).tolist()))
+            fam = MeanMatrixFamily(delays, tuple(
+                rng.uniform(0.2, 1.0, size=(n, n)) * 10.0 ** rng.uniform(-4, 4) for _ in delays))
+            sol = solve_malthusian(fam)
+            radius = float(np.max(np.abs(np.linalg.eigvals(build_companion(fam).matrix))))
+            assert sol.rho_hat == pytest.approx(radius, rel=1e-12)
 
     @staticmethod
     def _seeded_families():
@@ -111,8 +126,26 @@ class TestSolveMalthusian:
                 yield True, make_shared_family(rng, n, delays,
                                                mix=float(rng.uniform(0.01, 1.0)))[0]
 
+    def test_newton_climbs_from_the_lower_bound(self, monkeypatch):
+        # Newton from log min_d rho_d^{1/d} on the convex, decreasing g
+        # never evaluates g above the root
+        ts = []
+        real = malthusian._log_growth
+
+        def recording(family, t, *args):
+            ts.append(t)
+            return real(family, t, *args)
+
+        monkeypatch.setattr(malthusian, "_log_growth", recording)
+        for _, fam in self._seeded_families():
+            ts.clear()
+            theta = solve_malthusian(fam).theta
+            assert ts == sorted(ts)
+            assert max(ts) <= theta + 1e-12 * (1.0 + abs(theta))
+            assert len(ts) <= 8
+
     def test_newton_needs_few_pf_solves(self, monkeypatch):
-        # a bisection fallback would take ~60 solves per root; the mixture
+        # a search that bisects would take ~60 solves per root; the mixture
         # solves run through malthusian._pf_solve, the per-delay ones do not
         calls = []
         real = malthusian._pf_solve
