@@ -36,6 +36,5 @@ from .paths import (RunFractions, SamplingEstimate, StepCountVector,
                     xi_by_enumeration, xi_by_sampling)
 from .simulate import (EnsembleStats, ReplicaBlock, ensemble,
                        extinction_consistency, simulate_replica)
-from .cli import model_to_config, parse_config
 
 __version__ = "0.1.0"

@@ -284,7 +284,7 @@ def _cmd_validate(args) -> int:
 def _cmd_spectral(args) -> int:
     model = _load_model(args.config)
     family = censored_mean_matrices(model)
-    shared = spec_mod.shared_pf_check(family, pf_tol=args.tol)
+    shared = spec_mod.shared_pf_check(family)
     pf = shared.pf
     doc = {
         "per_delay": {
@@ -295,7 +295,7 @@ def _cmd_spectral(args) -> int:
         "shared": {
             "shared": shared.shared,
             "max_deviation": shared.max_deviation,
-            "tolerance": shared.tolerance,
+            "tolerance": spec_mod.SHARING_TOL,
             "h": shared.h, "nu": shared.nu,
         },
         "commute": spec_mod.commute_check(family),
@@ -467,14 +467,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _at_least(low, cast=int, strict=False):
-    """argparse ``type=`` for an option with a fixed lower bound (exit 2 below it)."""
+def _at_least(low):
+    """argparse ``type=`` for an int option with a fixed lower bound (exit 2 below it)."""
     def parse(text):
-        value = cast(text)
-        if not (value > low if strict else value >= low):  # NaN fails too
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
-    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -496,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("spectral", _cmd_spectral, help="P-F data per delay and sharing check")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=_at_least(0.0, float, strict=True), default=1e-12)
 
     p = add("malthusian", _cmd_malthusian, help="growth rate and step distribution")
     p.add_argument("--config", required=True)

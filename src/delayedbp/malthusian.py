@@ -11,6 +11,7 @@ in the mixture's pair (h, nu) at the root, so no D*n matrix is needed: the
 left vector nu_c(d) = rho_hat^{-(d-1)} nu gives a Collatz-Wielandt bound on
 |rho_hat - r(companion)|, reported as ``companion_residual``.
 The dense companion (``build_companion``) is kept as an oracle for tests.
+Every P-F solve runs at ``spectral.PF_TOL``; none re-checks irreducibility.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ RHO_MIN = 1e-9
 RHO_MAX = 1e9
 MAX_NEWTON = 100  # Newton steps; 3-6 g evaluations per root measured, 1 for one delay
 NEWTON_STEP_TOL = 1e-9
-TOL = 1e-12  # P-F residual of every solve on the root path
 CRIT_TOL = 1e-9  # |theta| at or below which the regime is critical
 
 
@@ -46,7 +46,7 @@ def mixture_matrix(family, rho: float) -> np.ndarray:
     return math.exp(c) * sum(mat for _, mat in terms)
 
 
-def _log_growth(family, t: float, tol: float, start: PFData) -> tuple[float, float, PFData]:
+def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData]:
     """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, and its
     derivative in t, from the scaled terms: log lambda = log lambda_c + c,
     and the mixture's P-F data, solved from ``start``.  The mixture is
@@ -59,7 +59,7 @@ def _log_growth(family, t: float, tol: float, start: PFData) -> tuple[float, flo
     with log-convex entries is log-convex (Kingman, 1961).
     """
     terms, c = _scaled_terms(family, t)
-    pf = _pf_solve(sum(mat for _, mat in terms), tol, start, irreducible=True)
+    pf = _pf_solve(sum(mat for _, mat in terms), start)
     slope = -math.fsum(d * float(pf.nu @ mat @ pf.h) for d, mat in terms)
     return math.log(pf.rho) + c, slope / pf.rho, pf
 
@@ -101,7 +101,7 @@ class CompanionSystem:
     pf: PFData
 
 
-def build_companion(family, tol: float = 1e-12) -> CompanionSystem:
+def build_companion(family) -> CompanionSystem:
     """Assemble the companion matrix and its P-F data."""
     n = family.n_types
     N = family.max_delay * n
@@ -110,7 +110,7 @@ def build_companion(family, tol: float = 1e-12) -> CompanionSystem:
     for e, mat in family.items():
         tm[(e - 1) * n:e * n, :n] = mat  # (e, i) -> (1, j)
     index = tuple((e, i) for e in range(1, family.max_delay + 1) for i in range(n))
-    return CompanionSystem(matrix=tm, index=index, pf=pf_decompose(tm, tol))
+    return CompanionSystem(matrix=tm, index=index, pf=pf_decompose(tm))
 
 
 def solve_malthusian(family) -> MalthusianSolution:
@@ -133,13 +133,13 @@ def solve_malthusian(family) -> MalthusianSolution:
     starts from the pair of the one before it, the first from the last
     delay's, so near the root it takes one or two LU solves per side.
     """
-    pf_d = family_pf(family, TOL)
+    pf_d = family_pf(family)
     rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
     theta = min(math.log(r) / d for d, r in rho_d.items())
     pf = pf_d[family.delays[-1]]
     for _ in range(MAX_NEWTON):
-        g, slope, pf = _log_growth(family, theta, TOL, pf)
+        g, slope, pf = _log_growth(family, theta, pf)
         step = -g / slope
         if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(theta)):
             # quadratic convergence: the error left after this step is far
@@ -168,7 +168,7 @@ def solve_malthusian(family) -> MalthusianSolution:
     # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
     terms, c = _scaled_terms(family, theta)
     mix = sum(mat for _, mat in terms)
-    pf = _pf_solve(mix, TOL, pf, irreducible=True)
+    pf = _pf_solve(mix, pf)
     a = math.exp(c) * (pf.nu @ mix) / pf.nu
     residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 

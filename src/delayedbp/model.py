@@ -21,6 +21,7 @@ from .errors import (DuplicateDelayError, NegativeEntryError, NonIrreducibleErro
                      SchemaError)
 
 _NORM_TOL = 1e-12
+MAX_DELAY = 2 ** 53  # weights e^{-theta d} take d as a double, exact up to 2^53
 
 
 def _check_unit(field, values):
@@ -45,6 +46,8 @@ class DelayFamily:
             raise SchemaError("delays", "at least one delay is required")
         if any(d < 1 for d in delays):
             raise SchemaError("delays", f"entries must be >= 1, got {list(delays)}")
+        if max(delays) > MAX_DELAY:
+            raise SchemaError("delays", f"entries must be <= 2^53, got {max(delays)}")
         if len(set(delays)) != len(delays):
             raise DuplicateDelayError(delays)
         object.__setattr__(self, "delays", tuple(sorted(delays)))

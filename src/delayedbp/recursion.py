@@ -34,6 +34,7 @@ from .malthusian import MalthusianSolution, solve_malthusian
 from .spectral import period
 
 OVERFLOW_LIMIT = 1e300
+_TERMWISE_LAGS = 64  # Y window lags summed term by term; the rest in closed form
 
 
 def _renew(family, v: np.ndarray, start: int = 0, theta: float = 0.0) -> None:
@@ -168,7 +169,8 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     common divisor above one raises PeriodicFamilyError.  In the
     subcritical regime the lifetime series must converge (geometric tail
     ratio below exp(theta)), otherwise TailDivergesError propagates from
-    the series.
+    the series.  A Y window past the double range raises
+    HorizonTooLargeError.
     """
     p = period(family)
     if p > 1:
@@ -177,12 +179,12 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     theta = mal.theta
     lt = model.lifetime
     x0 = model.initial_mean_vector()
-    D = family.max_delay
+    # taken first: a finite window bounds every weight e^{-theta d} below
+    window = _window(theta, family.max_delay)
 
     g = float(x0 @ h) / math.fsum(d * math.exp(-theta * d) * float(nu @ mat @ h)
                                   for d, mat in family.items())
     series = lt.weighted_survival_series(theta)
-    window = math.fsum(math.exp(-theta * c) for c in range(D + 1))
     limit_x = g * nu
     limit_z = g * series * nu
     limit_y = g * lt.prob(0) * window * nu
@@ -199,6 +201,25 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     return LimitReport(limit_x=limit_x, limit_z=limit_z, limit_y=limit_y,
                        type_limit=nu, age_limit=age_limit,
                        empirical_gap=gap, horizon=horizon)
+
+
+def _window(theta: float, D: int) -> float:
+    """sum_{c=0..D} e^{-theta c}: term by term up to a cut, then the r = D - cut
+    lags left as one geometric sum (r at theta = 0).  Raises
+    HorizonTooLargeError at lag D past the double range."""
+    cut = min(D, _TERMWISE_LAGS)
+    r = D - cut
+    try:
+        terms = [math.exp(-theta * c) for c in range(cut + 1)]
+        if r:
+            terms.append(r if theta == 0 else math.exp(-theta * (cut + 1))
+                         * math.expm1(-theta * r) / math.expm1(-theta))
+        total = math.fsum(terms)
+        if total < math.inf:
+            return total
+    except OverflowError:
+        pass
+    raise HorizonTooLargeError(D, "the Y window sum_{c<=D} e^{-theta c} passed the double range")
 
 
 def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Individual-level Monte Carlo simulation of the delayed branching process.
 
-A replica starts from the model's initial individuals at time 0.  Every
+A replica starts from the model's initial individuals at time 0, integer
+counts below 2^62 (another initial vector is a SchemaError).  Every
 individual born at time t of type i draws a lifetime L (possibly 0 =
 asymptomatic, in which case it cannot die), a death indicator for L >= 1, and
 raw offspring counts per (delay, child type); offspring at age d are censored
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import AllTruncatedError
+from .errors import AllTruncatedError, SchemaError
 
 DEFAULT_POP_CAP = 10 ** 6
 
@@ -118,8 +119,9 @@ def simulate_block(model, horizon: int, seed, rows: int,
     if pop_cap < 1:
         raise ValueError("pop_cap must be >= 1")
     init = model.initial_mean_vector().tolist()
-    if any(abs(v - round(v)) > 1e-9 for v in init):
-        raise ValueError("simulation needs integer initial counts")
+    # counts live in int64; 2^62 keeps a factor of two of headroom
+    if any(abs(v - round(v)) > 1e-9 or v >= 2 ** 62 for v in init):
+        raise SchemaError("initial", "simulation needs integer counts below 2^62")
     S = horizon
     delays = model.delay_family.delays
     D = model.delay_family.max_delay

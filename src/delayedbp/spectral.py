@@ -7,6 +7,8 @@ may differ.  Shared families admit closed-form long-run behavior, and products
 of their normalized members are uniformly bounded by the eigenvector weight
 ratio.  Constructors for shared families (from a stochastic matrix plus a
 target eigenvector) and a commutation test are included.
+Every tolerance is a module constant.  Irreducibility is checked where a
+matrix enters, by ``pf_decompose`` or MeanMatrixFamily, not again per solve.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 from .errors import (NegativeEntryError, NoConvergenceError, NotStochasticError,
                      SchemaError)
 
-DEFAULT_TOL = 1e-12
+PF_TOL = 1e-12  # P-F residual bound of every solve, times max(1, rho)
 SHARING_TOL = 1e-8
+COMMUTE_TOL = 1e-10
 MAX_ITERS = 50  # shift-and-invert solves per side; 4-6 from A1, 0-2 warm
 
 
@@ -65,10 +68,13 @@ def period(family) -> int:
     dist(i) + d - dist(j), and every defect is the difference of the lengths
     of two closed walks through type 0, so the gcd of the defects is the
     period.  The graph must be strongly connected, as it is when any M_d is
-    irreducible.
+    irreducible.  Paths have at most n - 1 edges, so dist < n * D: past int64,
+    Python integers.
     """
     edges = [(d, mat > 0) for d, mat in family.items()]
-    dist = np.full(len(edges[0][1]), -1, dtype=np.int64)
+    n = len(edges[0][1])
+    big = n * max(d for d, _ in edges) >= 2 ** 63
+    dist = np.full(n, -1, dtype=object if big else np.int64)
     dist[0] = 0
     frontier = np.array([0])
     while frontier.size:
@@ -91,8 +97,7 @@ class PFData:
     residual_left: float
 
 
-def _pf_vector(a: np.ndarray, tol: float,
-               start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+def _pf_vector(a: np.ndarray, start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Right P-F vector of an irreducible nonnegative matrix, summing to one,
     by Noda's shift-and-invert iteration; returns it with the iteration count.
 
@@ -106,7 +111,7 @@ def _pf_vector(a: np.ndarray, tol: float,
     vector of a nearby matrix) replaces A1 when its spread, defined below, is
     the smaller on ``a``.
     The loop stops once the ratio spread times max(v)/min(v) is within
-    ``tol * max(1, sigma)`` (that product bounds the residual of v rescaled
+    ``PF_TOL * max(1, sigma)`` (that product bounds the residual of v rescaled
     to nu'v = 1), once sigma stops falling (rounding floor), or after
     ``MAX_ITERS`` solves.
     """
@@ -123,7 +128,7 @@ def _pf_vector(a: np.ndarray, tol: float,
     sigma_prev = math.inf
     for k in range(1, MAX_ITERS + 1):
         sigma, spread = bound(v)
-        if spread <= tol * max(1.0, sigma) or sigma >= sigma_prev:
+        if spread <= PF_TOL * max(1.0, sigma) or sigma >= sigma_prev:
             return v, k
         sigma_prev = sigma
         try:
@@ -137,55 +142,54 @@ def _pf_vector(a: np.ndarray, tol: float,
     return v, MAX_ITERS
 
 
-def pf_decompose(m: np.ndarray, tol: float = DEFAULT_TOL) -> PFData:
+def pf_decompose(m: np.ndarray) -> PFData:
     """P-F triple of an irreducible nonnegative matrix by shift-and-invert.
 
     Each eigenvector comes from Noda's inverse iteration with
     Collatz-Wielandt shifts (``_pf_vector``), on M for h and on M' for nu;
     a few LU solves per side suffice at any size.  The eigenvalue comes from
     the two-sided Rayleigh quotient.  Residuals are measured in the infinity
-    norm and must end below ``tol * max(1, rho)``, else NoConvergenceError.
+    norm and must end below ``PF_TOL * max(1, rho)``, else NoConvergenceError.
     """
-    return _pf_solve(m, tol)
-
-
-def _pf_solve(m, tol: float, start: PFData | None = None, irreducible=False) -> PFData:
-    """``pf_decompose``, each side offered the matching vector of ``start``
-    (see ``_pf_vector``); ``irreducible`` skips that check."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if not (irreducible or is_irreducible(m)):
+    if not is_irreducible(m):
         raise ValueError("matrix is reducible")
+    return _pf_solve(m, start=None)
+
+
+def _pf_solve(m: np.ndarray, start: PFData | None) -> PFData:
+    """``pf_decompose`` of a square irreducible float matrix, unchecked, each
+    side offered the matching vector of ``start`` (see ``_pf_vector``)."""
     n = m.shape[0]
     if n == 1:
         one = np.ones(1)
         return PFData(rho=float(m[0, 0]), h=one, nu=one.copy(),
                       residual_right=0.0, residual_left=0.0)
 
-    h, iters_r = _pf_vector(m, tol, None if start is None else start.h)
-    nu, iters_l = _pf_vector(m.T, tol, None if start is None else start.nu)
+    h, iters_r = _pf_vector(m, None if start is None else start.h)
+    nu, iters_l = _pf_vector(m.T, None if start is None else start.nu)
     rho = float((nu @ m @ h) / (nu @ h))
     h_out = h / (nu @ h)
     res_r = float(np.max(np.abs(m @ h_out - rho * h_out)))
     res_l = float(np.max(np.abs(nu @ m - rho * nu)))
-    if max(res_r, res_l) <= tol * max(1.0, abs(rho)):
+    if max(res_r, res_l) <= PF_TOL * max(1.0, abs(rho)):
         return PFData(rho=rho, h=h_out, nu=nu,
                       residual_right=res_r, residual_left=res_l)
     if start is not None:  # a warm start never fails where a cold one passes
-        return _pf_solve(m, tol, irreducible=True)
+        return _pf_solve(m, start=None)
     raise NoConvergenceError(max(iters_r, iters_l))
 
 
-def family_pf(family, tol: float = DEFAULT_TOL) -> dict[int, PFData]:
+def family_pf(family) -> dict[int, PFData]:
     """P-F data for every matrix in a MeanMatrixFamily, keyed by delay; each
     solve is offered the previous delay's pair as its start, so on a shared
-    family every delay after the first needs no LU solve."""
+    family every delay after the first needs no LU solve.  MeanMatrixFamily
+    checked each member irreducible."""
     pf, prev = {}, None
     for d, mat in family.items():
-        pf[d] = prev = _pf_solve(mat, tol, prev)
+        pf[d] = prev = _pf_solve(mat, prev)
     return pf
 
 
@@ -196,33 +200,30 @@ class SharedPFReport:
     nu: np.ndarray | None
     per_delay_rho: dict[int, float]
     max_deviation: float
-    tolerance: float
-    pf: dict[int, PFData] = field(repr=False)  # per delay, solved at pf_tol
+    pf: dict[int, PFData] = field(repr=False)  # per delay, from family_pf
 
 
-def shared_pf_check(family, tol: float = SHARING_TOL,
-                    pf_tol: float = DEFAULT_TOL) -> SharedPFReport:
+def shared_pf_check(family) -> SharedPFReport:
     """Decide whether all matrices in the family share P-F eigenvectors.
 
     Eigenvectors are compared after the nu'1 = 1, nu'h = 1 normalization; the
     family is shared when the worst infinity-norm discrepancy among the h_d
-    and among the nu_d stays within ``tol``.  The reported common pair is the
+    and among the nu_d stays within ``SHARING_TOL``.  The reported common pair is the
     one computed at the smallest delay; no pair is reported when sharing
     fails.  The per-delay P-F data behind the test is reported as ``pf``.
     """
-    pf = family_pf(family, pf_tol)
+    pf = family_pf(family)
     base = family.delays[0]
     h0, nu0 = pf[base].h, pf[base].nu
     dev = max(max(float(np.max(np.abs(p.h - h0))), float(np.max(np.abs(p.nu - nu0))))
               for p in pf.values())
-    shared = dev <= tol
+    shared = dev <= SHARING_TOL
     return SharedPFReport(
         shared=shared,
         h=h0 if shared else None,
         nu=nu0 if shared else None,
         per_delay_rho={d: pf[d].rho for d in family.delays},
         max_deviation=dev,
-        tolerance=tol,
         pf=pf,
     )
 
@@ -308,13 +309,13 @@ def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     return MeanMatrixFamily(delays, tuple(mats))
 
 
-def commute_check(family, tol: float = 1e-10) -> bool:
-    """True iff all pairs of family matrices commute within ``tol``
+def commute_check(family) -> bool:
+    """True iff all pairs of family matrices commute within ``COMMUTE_TOL``
     (infinity norm of the commutator).  Commuting families always share
     P-F eigenvectors."""
     mats = list(family.matrices)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if matrix_inf_norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > tol:
+            if matrix_inf_norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > COMMUTE_TOL:
                 return False
     return True

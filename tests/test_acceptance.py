@@ -178,7 +178,7 @@ def test_criterion_8_commuting_families_share():
             c = rng.uniform(0.05, 0.8, size=3)
             mats.append(c[0] * np.eye(n) + c[1] * m + c[2] * (m @ m))
         fam = MeanMatrixFamily(tuple(range(1, len(mats) + 1)), tuple(mats))
-        assert shared_pf_check(fam, tol=1e-8).shared
+        assert shared_pf_check(fam).shared
     _report("8 commuting families share P-F eigenvectors (20 families)")
 
 

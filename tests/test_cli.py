@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -330,14 +331,15 @@ class TestDispatch:
         assert dispatch(["generate", "--input", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:SchemaError: rhos:")
 
-    def test_no_convergence_exit_code(self, tmp_path, capsys):
+    def test_no_convergence_exit_code(self, tmp_path, capsys, monkeypatch):
         doc = dict(FIB_CONFIG, types=["a", "b"], initial=0)
         doc["offspring"] = {"kind": "poisson",
                             "means": {"1": [[1.0, 2.0], [3.0, 4.0]],
                                       "2": [[0.5, 0.1], [0.2, 0.3]]}}
         path = tmp_path / "two.json"
         path.write_text(json.dumps(doc))
-        assert dispatch(["spectral", "--config", str(path), "--tol", "1e-300"]) == 1
+        monkeypatch.setattr(spec_mod, "PF_TOL", 1e-300)
+        assert dispatch(["spectral", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:NoConvergenceError:")
 
     @pytest.mark.parametrize("initial,time", [([1e-10], None), (0, 315)])
@@ -751,6 +753,36 @@ class TestLargeDelays:
         assert _typed_or_ok(code, capsys.readouterr().err)
 
 
+_HOSTILE = {"delay-1e12": {"delays": [1, 10 ** 12]}, "delay-2^63": {"delays": [1, 2 ** 63]},
+            "delay-1e30": {"delays": [1, 10 ** 30]}, "initial-1e30": {"initial": [1e30]},
+            "initial-half": {"initial": [0.5]}}
+_SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
+                ["limits", "--horizon", "5"],
+                ["paths", "--s", "6", "--kappa", "2", "--samples", "100", "--seed", "1"],
+                ["simulate", "--horizon", "5", "--replicas", "3", "--seed", "1"], ["generate"]]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name", _HOSTILE)
+def test_hostile_config_is_answered_or_typed(name, argv, tmp_path, capsys):
+    # Fibonacci with a huge second delay, or an initial vector no int64
+    # count holds: every subcommand answers, or exits 1 with a typed error,
+    # and none hangs
+    doc = dict(FIB_CONFIG, **_HOSTILE[name])
+    delays = doc["delays"]
+    doc["offspring"] = {"kind": "poisson", "means": {str(d): [[1.0]] for d in delays}}
+    if argv[0] == "generate":
+        doc = {"P": [[1.0]], "h": [1.0], "rhos": {str(d): 1.0 for d in delays},
+               "lifetime": doc["lifetime"], "initial": doc["initial"]}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    flag = "--input" if argv[0] == "generate" else "--config"
+    start = time.perf_counter()
+    code = dispatch([argv[0], flag, str(path), *argv[1:], "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 5.0
+    assert _typed_or_ok(code, capsys.readouterr().err)
+
+
 class TestSpectralSolvesOnce:
     def _shared_config(self, tmp_path):
         fam, _, _, _ = make_shared_family(np.random.default_rng(41), 4, (1, 2, 5), mix=0.3)
@@ -789,13 +821,25 @@ class TestSpectralSolvesOnce:
         assert dispatch([argv[0], "--config", str(path), *argv[1:]]) == 0
         assert len(calls) - solve == solve
 
-    @pytest.mark.parametrize("tol", ["1e-12", "1e-6"])
+    def test_irreducibility_checked_once_per_delay(self, tmp_path, capsys, monkeypatch):
+        # MeanMatrixFamily checks each member; the P-F solves do not check again
+        config, calls = self._shared_config(tmp_path), []
+        real = spec_mod.is_irreducible
+        monkeypatch.setattr(spec_mod, "is_irreducible",
+                            lambda m: calls.append(1) or real(m))
+        assert dispatch(["spectral", "--config", config]) == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("tol", ["1e-12"])
     def test_tol_governs_the_sharing_block(self, tol, tmp_path, capsys):
-        # the sharing block is read off the per-delay P-F data solved at --tol
-        assert dispatch(["spectral", "--config", self._shared_config(tmp_path),
-                         "--tol", tol]) == 0
+        # the sharing block is read off the per-delay P-F data, solved at PF_TOL
+        assert spec_mod.PF_TOL == float(tol)
+        assert dispatch(["spectral", "--config", self._shared_config(tmp_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         per_delay, shared = doc["per_delay"], doc["shared"]
+        for pf in per_delay.values():
+            residual = max(pf["residual_right"], pf["residual_left"])
+            assert residual <= float(tol) * max(1, pf["rho"])
         assert shared["shared"] is True
         assert shared["h"] == per_delay["1"]["h"]
         assert shared["nu"] == per_delay["1"]["nu"]
@@ -818,6 +862,23 @@ def test_python_m_runs_the_cli(fib_config):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_python_m_cli_module_warns_nothing():
+    # the package must not import its cli module, or runpy warns that
+    # delayedbp.cli was imported before it ran as __main__
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "delayedbp.cli",
+                           "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [["evolve", "--horizon", "1000000000"],

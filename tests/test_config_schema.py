@@ -229,9 +229,6 @@ def test_boolean_is_not_a_number(command, flag, doc, field, tmp_path, capsys):
      "--upsilon"),
     (["paths", "--s", "4", "--samples", "0", "--seed", "0"], "--samples"),
     (["paths", "--s", "4", "--samples", "10", "--seed", "-1"], "--seed"),
-    (["spectral", "--tol", "0"], "--tol"),
-    (["spectral", "--tol", "-1"], "--tol"),
-    (["spectral", "--tol", "nan"], "--tol"),
     (["paths", "--s", "4", "--r", "-1"], "--r"),
 ])
 def test_option_below_its_bound(argv, option, tmp_path, capsys):
@@ -251,7 +248,6 @@ def test_option_below_its_bound(argv, option, tmp_path, capsys):
     ["paths", "--s", "4", "--kappa", "2", "--upsilon", "1", "--alpha", "0.1",
      "--delta", "0.1"],
     ["paths", "--s", "4", "--samples", "1", "--seed", "0"],
-    ["spectral", "--tol", "1e-300"],
 ])
 def test_option_at_its_bound_is_accepted(argv, tmp_path, capsys):
     path = tmp_path / "fib.json"
@@ -328,3 +324,11 @@ def test_model_to_config_round_trip(model):
     config = model_to_config(model)
     assert_same_model(parse_config(json.dumps(config)), model)
     assert_same_model(parse_config(emit_json(config)), model)  # what generate writes
+
+
+def test_spectral_takes_no_tol(tmp_path, capsys):
+    # every P-F solve runs at spectral.PF_TOL; there is no option to loosen it
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(FIB))
+    assert dispatch(["spectral", "--config", str(path), "--tol", "1e-6"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

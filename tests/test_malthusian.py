@@ -173,7 +173,7 @@ class TestSolveMalthusian:
             counts = []
             for cold in (False, True):
                 monkeypatch.setattr(spectral, "_pf_vector",
-                                    (lambda a, tol, start=None: real_vector(a, tol))
+                                    (lambda a, start=None: real_vector(a))
                                     if cold else real_vector)
                 solves.clear()
                 solve_malthusian(fam)

@@ -29,6 +29,12 @@ class TestDelayFamily:
         with pytest.raises(ValueError):
             DelayFamily((0, 1))
 
+    def test_delays_past_two_to_the_53_rejected(self):
+        # every weight e^{-theta d} takes d as a double, exact up to 2^53
+        assert DelayFamily((1, 2 ** 53)).max_delay == 2 ** 53
+        with pytest.raises(SchemaError, match=r"delays: .*2\^53"):
+            DelayFamily((1, 2 ** 53 + 1))
+
     def test_single_delay_is_ordinary(self):
         # a lone delay {1} is an ordinary branching process: nothing to report
         model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)),

@@ -11,6 +11,7 @@ from delayedbp import (DegenerateDenominatorError, HorizonTooLargeError,
 from conftest import (PHI, make_fibonacci_model, make_shared_family,
                       poisson_model_from_family, random_positive_family)
 from delayedbp.model import censored_mean_matrices
+from delayedbp.recursion import _window
 
 
 class TestEvolveMeans:
@@ -326,6 +327,21 @@ class TestTheoremLimits:
         sol = solve_malthusian(fam)
         with pytest.raises(TailDivergesError):
             theorem_limits(model, fam, sol)
+
+    @pytest.mark.parametrize("theta", [0.7, 1e-3, 1e-9, 0.0, -1e-9, -1e-4, -0.01])
+    def test_window_closed_form(self, theta):
+        # lags past the cut are one geometric sum in closed form
+        for D in (3, 65, 1000, 20000):
+            ref = math.fsum(math.exp(-theta * c) for c in range(D + 1))
+            assert _window(theta, D) == pytest.approx(ref, rel=1e-14)
+
+    def test_window_past_double_range_is_typed(self):
+        # e^{-theta D} stays finite here, but the window, about
+        # e^{-theta D} / |theta| with theta = -7e-4, passes the double range
+        fam = MeanMatrixFamily((1, 10 ** 6), (np.array([[0.5]]), np.array([[1e-307]])))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.5, 0.5)))
+        with pytest.raises(HorizonTooLargeError, match="Y window"):
+            theorem_limits(model, fam, solve_malthusian(fam), horizon=5)
 
     def test_weighted_gap_shrinks(self):
         rng = np.random.default_rng(107)

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
 from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
-                       OffspringLaw, censored_mean_matrices, ensemble,
+                       OffspringLaw, SchemaError, censored_mean_matrices, ensemble,
                        evolve_means, extinction_consistency, simulate_replica)
 from delayedbp.simulate import (BLOCK_BYTES, ReplicaBlock, _multinomial, _poisson,
                                 block_rows, replica_blocks, simulate_block, summarize)
@@ -50,6 +50,15 @@ class TestSimulateReplica:
         assert rec.x.sum() == 1 and rec.x[0, 0, 0] == 1
         det, time = rec.extinction()
         assert det[0, 0] and time[0, 0] == 1
+
+    @pytest.mark.parametrize("initial", [(0.5,), (2.0 ** 62,), (1e30,)])
+    def test_initial_counts_must_fit(self, initial):
+        # integer counts below 2^62, the int64 headroom, or a SchemaError
+        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)),
+                          offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
+                          lifetime=LifetimeLaw(pmf=(0.0, 1.0)), initial=initial)
+        with pytest.raises(SchemaError, match="initial"):
+            simulate_replica(model, 3, seed=1)
 
     def test_all_asymptomatic_identities(self):
         model = asymptomatic_model()

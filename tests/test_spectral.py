@@ -11,7 +11,8 @@ from delayedbp import (MeanMatrixFamily, NoConvergenceError,
                        construct_shared_family_reversed, family_pf,
                        is_irreducible, normalized_word_product, period,
                        pf_decompose, shared_pf_check, weight_ratio)
-from delayedbp.spectral import DEFAULT_TOL, _pf_solve, matrix_inf_norm
+from delayedbp import spectral
+from delayedbp.spectral import PF_TOL, _pf_solve, matrix_inf_norm
 from conftest import make_shared_family, random_stochastic
 
 
@@ -81,6 +82,15 @@ class TestPeriod:
             periodic += p > 1
         assert periodic >= 10
 
+    def test_distances_past_int64(self):
+        # a cycle of 1100 types on delays {1, 2^53 - 1}: frontier distances reach
+        # 1099 * (2^53 - 1), past int64; the cycle lengths are
+        # 1100 + k (2^53 - 2), whose gcd is 10 (int64 distances wrap to 2)
+        n = 1100
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        fam = MeanMatrixFamily((1, 2 ** 53 - 1), (cycle, cycle))
+        assert period(fam) == math.gcd(n, 2 ** 53 - 2) == 10
+
 
 class TestPFDecompose:
     def test_symmetric_ones(self):
@@ -139,10 +149,11 @@ class TestPFDecompose:
         with pytest.raises(ValueError, match="reducible"):
             pf_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        monkeypatch.setattr(spectral, "PF_TOL", 1e-300)
         with pytest.raises(NoConvergenceError, match="shift-and-invert") as info:
-            pf_decompose(m, tol=1e-300)
+            pf_decompose(m)
         assert 1 <= info.value.iterations <= 50
 
 
@@ -150,13 +161,13 @@ def assert_matches_eigvals(m, start=None):
     """pf_decompose, or the solve started from the pair ``start``, agrees
     with the dense spectral radius to 1e-12 relative, with positive
     normalized eigenvectors and its residual guarantee."""
-    pf = pf_decompose(m) if start is None else _pf_solve(m, DEFAULT_TOL, start)
+    pf = pf_decompose(m) if start is None else _pf_solve(m, start)
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     assert pf.rho == pytest.approx(radius, rel=1e-12)
     assert np.all(pf.h > 0) and np.all(pf.nu > 0)
     assert pf.nu.sum() == pytest.approx(1.0, abs=1e-12)
     assert pf.nu @ pf.h == pytest.approx(1.0, abs=1e-12)
-    assert max(pf.residual_right, pf.residual_left) <= DEFAULT_TOL * max(1.0, pf.rho)
+    assert max(pf.residual_right, pf.residual_left) <= PF_TOL * max(1.0, pf.rho)
     return pf
 
 
@@ -228,7 +239,7 @@ class TestPFOracle:
                 near = None
             for start in (last.get(n), near):
                 if cold is not None and start is not None:
-                    warm = _pf_solve(m, DEFAULT_TOL, start)
+                    warm = _pf_solve(m, start)
                     assert warm.rho == pytest.approx(cold.rho, rel=1e-10)
                     passed += 1
             if cold is not None:
@@ -428,5 +439,5 @@ class TestCommuteCheck:
                 c = rng.uniform(0.05, 1.0, size=3)
                 mats.append(c[0] * np.eye(n) + c[1] * m + c[2] * m @ m)
             fam = MeanMatrixFamily((1, 2, 3), tuple(mats))
-            assert commute_check(fam, tol=1e-9)
-            assert shared_pf_check(fam, tol=1e-8).shared
+            assert commute_check(fam)
+            assert shared_pf_check(fam).shared
