@@ -38,14 +38,12 @@ class NonIrreducibleError(DelayedBPError):
 
 
 class NoConvergenceError(DelayedBPError):
-    """The P-F residual missed its tolerance when the shift-and-invert
-    iteration stopped."""
+    """An iteration stopped short of its tolerance: by default the
+    shift-and-invert P-F iteration, whose residual missed its bound."""
 
-    def __init__(self, iterations):
+    def __init__(self, iterations, what="shift-and-invert P-F iteration"):
         self.iterations = iterations
-        super().__init__(
-            f"shift-and-invert P-F iteration missed its tolerance after "
-            f"{iterations} iterations")
+        super().__init__(f"{what} missed its tolerance after {iterations} iterations")
 
 
 class NotStochasticError(DelayedBPError):

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError
+from .errors import BracketFailureError, NoConvergenceError
 from .spectral import PFData, _pf_solve, family_pf, matrix_inf_norm, pf_decompose
 
 RHO_MIN = 1e-9
 RHO_MAX = 1e9
-MAX_NEWTON = 100  # Newton steps; 3-6 g evaluations per root measured, 1 for one delay
-NEWTON_STEP_TOL = 1e-9
+MAX_NEWTON = 100  # g evaluations; at most 12 measured on delays up to 2^53, 1 for one delay
+ROOT_TOL = 1e-14  # |g| at or below which the root is reached
 CRIT_TOL = 1e-9  # |theta| at or below which the regime is critical
 
 
@@ -46,10 +46,10 @@ def mixture_matrix(family, rho: float) -> np.ndarray:
     return math.exp(c) * sum(mat for _, mat in terms)
 
 
-def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData]:
-    """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, and its
-    derivative in t, from the scaled terms: log lambda = log lambda_c + c,
-    and the mixture's P-F data, solved from ``start``.  The mixture is
+def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData, list, float]:
+    """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, its
+    derivative in t, the mixture's P-F data solved from ``start``, and the
+    scaled terms with c (log lambda = log lambda_c + c).  The mixture is
     irreducible unchecked, as a positive sum of the irreducible M_d.
 
     First-order P-F perturbation (nu'h = 1) gives
@@ -61,7 +61,7 @@ def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData]:
     terms, c = _scaled_terms(family, t)
     pf = _pf_solve(sum(mat for _, mat in terms), start)
     slope = -math.fsum(d * float(pf.nu @ mat @ pf.h) for d, mat in terms)
-    return math.log(pf.rho) + c, slope / pf.rho, pf
+    return math.log(pf.rho) + c, slope / pf.rho, pf, terms, c
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,9 @@ class MalthusianSolution:
     """The root rho_hat = exp(theta) and the P-F pair (h, nu) of the mixture
     at the root, normalized nu'1 = 1 and nu'h = 1.  ``beta`` holds the step
     weights rho_d exp(-theta d), keyed by delay; they sum to one when the
-    family shares P-F eigenvectors.
+    family shares P-F eigenvectors.  ``weighted`` holds W_d = exp(-theta d) M_d
+    from the root's last evaluation, keyed by delay, and ``delta`` is the
+    renewal denominator nu' sum_d d W_d h (mu_beta on a shared family).
 
     ``companion_residual`` is a certified bound on |rho_hat - r(C)| for the
     companion matrix C, from the Collatz-Wielandt bounds at C's closed-form
@@ -84,6 +86,8 @@ class MalthusianSolution:
     companion_residual: float
     h: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
+    weighted: dict[int, np.ndarray] = field(repr=False)
+    delta: float
     warnings: tuple[str, ...] = ()
 
 
@@ -116,43 +120,46 @@ def build_companion(family) -> CompanionSystem:
 def solve_malthusian(family) -> MalthusianSolution:
     """Find rho_hat > 0 with P-F eigenvalue of sum_d rho_hat^{-d} M_d equal 1.
 
-    The root of g(t) = log(eigenvalue) at t = log(rho) is found by plain
-    Newton's method with the closed-form slope from the P-F triple (see
-    ``_log_growth``), with no bracket and no bisection.  It starts at
+    The root of g(t) = log(eigenvalue) at t = log(rho) is found by Newton's
+    method with the closed-form slope of ``_log_growth``, started at
     t0 = log min_d rho_d^{1/d}, where one mixture term alone has eigenvalue
     one, so g(t0) >= 0.  The slope is -sum_d d w_d with weights w_d summing
     to one, so it lies in [-D, -d_min] and is never zero; and g is convex,
     so each Newton step lands at or below the root: the iterates climb to it
-    monotonically.  A root outside [1e-9, 1e9] raises BracketFailureError.
+    monotonically.  The search returns the first evaluated theta with
+    |g| <= ``ROOT_TOL`` or |g| no smaller than before (g's rounding floor),
+    since beta_D magnifies an error in theta D times; ``MAX_NEWTON``
+    evaluations without that raise NoConvergenceError.  A root outside
+    [1e-9, 1e9] raises BracketFailureError.
 
-    The step distribution beta_d = rho_d * exp(-theta*d) sums to one exactly
-    when the family shares P-F eigenvectors; otherwise a warning is attached
-    rather than renormalizing.  The regime follows theta alone, critical
-    when |theta| <= ``CRIT_TOL``.  One last P-F solve of the mixture at the
-    root gives (h, nu) and the companion certificate.  Each mixture solve
-    starts from the pair of the one before it, the first from the last
-    delay's, so near the root it takes one or two LU solves per side.
+    The step distribution beta_d = exp(log rho_d - theta*d) sums to one
+    exactly when the family shares P-F eigenvectors; otherwise a warning is
+    attached rather than renormalizing.  The regime follows theta alone,
+    critical when |theta| <= ``CRIT_TOL``.  The last evaluation gives (h,
+    nu), the weighted family, delta and the companion certificate.  Each
+    mixture solve starts from the pair of the one before it, the first from
+    the last delay's, so near the root it takes one or two LU solves per
+    side.
     """
     pf_d = family_pf(family)
     rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
     theta = min(math.log(r) / d for d, r in rho_d.items())
-    pf = pf_d[family.delays[-1]]
+    pf, last = pf_d[family.delays[-1]], math.inf
     for _ in range(MAX_NEWTON):
-        g, slope, pf = _log_growth(family, theta, pf)
-        step = -g / slope
-        if abs(step) <= NEWTON_STEP_TOL * (1.0 + abs(theta)):
-            # quadratic convergence: the error left after this step is far
-            # below the rounding of g, so it needs no evaluation
-            theta += step
+        g, slope, pf, terms, c = _log_growth(family, theta, pf)
+        if abs(g) <= ROOT_TOL or abs(g) >= last:
             break
-        theta += step
+        last = abs(g)
+        theta -= g / slope
+    else:
+        raise NoConvergenceError(MAX_NEWTON, "Newton's method for the growth rate")
     if not math.log(RHO_MIN) <= theta <= math.log(RHO_MAX):
         raise BracketFailureError(
             f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
     rho_hat = math.exp(theta)
 
-    beta = {d: rho_d[d] * math.exp(-theta * d) for d in family.delays}
+    beta = {d: math.exp(math.log(rho_d[d]) - theta * d) for d in family.delays}
     sum_beta = math.fsum(beta.values())
     mu_beta = math.fsum(d * b for d, b in beta.items())
     warns = []
@@ -166,9 +173,7 @@ def solve_malthusian(family) -> MalthusianSolution:
 
     # the companion's left vector x(d) = rho_hat^{-(d-1)} nu has ratio
     # (x'C)/x = rho_hat on ages d >= 2 and rho_hat * a on age 1
-    terms, c = _scaled_terms(family, theta)
     mix = sum(mat for _, mat in terms)
-    pf = _pf_solve(mix, pf)
     a = math.exp(c) * (pf.nu @ mix) / pf.nu
     residual = rho_hat * max(float(a.max()) - 1.0, 1.0 - float(a.min()), 0.0)
 
@@ -181,5 +186,7 @@ def solve_malthusian(family) -> MalthusianSolution:
         companion_residual=residual,
         h=pf.h,
         nu=pf.nu,
+        weighted={d: math.exp(c) * mat for d, mat in terms},
+        delta=-slope * math.exp(g),  # nu' sum_d d W_d h = -slope * lambda, lambda = e^g
         warnings=tuple(warns),
     )

@@ -350,13 +350,13 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
 
     Steps are drawn i.i.d. from p = beta / sum(beta) until the running total
     reaches s.  A sample that hits s exactly along the word (d_1, ..., d_r)
-    weighs exp(theta*s) N_{d_1} ... N_{d_r}, with N_d = exp(-theta*d) M_d / p_d,
-    and a miss weighs zero, so the mean weight is the sum of
-    M_{d_1} ... M_{d_r} over the words spanning s, which is Xi(s).  On a
-    family sharing P-F eigenvectors, beta sums to one and N_d = M_d / rho_d
-    is the paper's normalized matrix; with one type every N_d is 1 in exact
-    arithmetic, and a hit counts 1.  Raises HorizonTooLargeError when
-    exp(theta*s) leaves the double range.
+    weighs exp(theta*s) N_{d_1} ... N_{d_r}, with N_d = W_d / p_d for the
+    W_d = exp(-theta*d) M_d of ``mal.weighted``, and a miss weighs zero, so
+    the mean weight is the sum of M_{d_1} ... M_{d_r} over the words
+    spanning s, which is Xi(s).  On a family sharing P-F eigenvectors, beta
+    sums to one and N_d = M_d / rho_d is the paper's normalized matrix; with
+    one type every N_d is 1 in exact arithmetic, and a hit counts 1.  Raises
+    HorizonTooLargeError when exp(theta*s) leaves the double range.
 
     Samples are assigned to fixed 2^16-sample blocks.  Block b, holding m
     samples, draws m * s uniforms, row-major, from
@@ -384,8 +384,7 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     probs = probs / probs.sum()
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    steps = (np.stack([mat * (math.exp(-mal.theta * d) / p)
-                       for (d, mat), p in zip(family.items(), probs)]) if n > 1 else None)
+    steps = np.stack([w / p for w, p in zip(mal.weighted.values(), probs)]) if n > 1 else None
 
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))

@@ -12,14 +12,14 @@ source:
 * asymptomatic Y:  E[X(0)] * P(L = 0) on the window 0 <= s <= D.
 
 Geometrically weighted versions (multiplied by exp(-theta*s)) run the same
-step with M_d scaled by exp(-theta*d) rather than being rescaled after the
-fact, which keeps long supercritical or subcritical horizons inside
+step with M_d replaced by W_d = exp(-theta*d) M_d, read from ``mal.weighted``,
+rather than being rescaled after the fact, which keeps long horizons inside
 floating-point range.  ``evolve_means`` renews one state of shape
 (S+1, 2, 3, types): (raw, weighted) x (X, Z, Y), with per-delay stacked
-matrices [M_d, exp(-theta*d) M_d] of shape (2, types, types), so the raw and
-weighted means advance in one pass and the overflow guard sees all six
-series at once.  The kernel Xi(s) is the same step on a stack of n rows
-started from the identity, so that E[X(s)]' = E[X(0)]' Xi(s).
+matrices [M_d, W_d] of shape (2, types, types), so the raw and weighted means
+advance in one pass and the overflow guard sees all six series at once.  The
+kernel Xi(s) is the same step on a stack of n rows started from the
+identity, so that E[X(s)]' = E[X(0)]' Xi(s).
 """
 
 from __future__ import annotations
@@ -37,18 +37,13 @@ OVERFLOW_LIMIT = 1e300
 _TERMWISE_LAGS = 64  # Y window lags summed term by term; the rest in closed form
 
 
-def _renew(family, v: np.ndarray, start: int = 0, theta: float = 0.0) -> None:
-    """In place: v[s] += sum_d exp(-theta*d) v[s-d] @ M_d for s >= start.
+def _renew_rows(mats, v: np.ndarray, start: int = 0) -> None:
+    """In place: v[s] += sum over (d, mat) in ``mats`` of v[s-d] @ mat, for
+    s >= start; ``mat`` may be a stack that broadcasts against a row.
 
     Raises HorizonTooLargeError at the first such s whose row exceeds
     OVERFLOW_LIMIT.
     """
-    _renew_rows([(d, math.exp(-theta * d) * mat) for d, mat in family.items()], v, start)
-
-
-def _renew_rows(mats, v: np.ndarray, start: int = 0) -> None:
-    """In place: v[s] += sum over (d, mat) in ``mats`` of v[s-d] @ mat, for
-    s >= start; ``mat`` may be a stack that broadcasts against a row."""
     for s in range(start, len(v)):
         v[s] += sum(v[s - d] @ mat for d, mat in mats if d <= s)
         if v[s].max() > OVERFLOW_LIMIT:
@@ -95,8 +90,7 @@ def evolve_means(model, family, horizon: int, mal: MalthusianSolution | None = N
     for s in range(min(family.max_delay, horizon) + 1):
         v[s, 0, 2] = x0 * lt.prob(0)
         v[s, 1, 2] = _scaled(x0, lt.prob(0), -theta * s)
-    _renew_rows([(d, np.stack((mat, math.exp(-theta * d) * mat)))
-                 for d, mat in family.items()], v)
+    _renew_rows([(d, np.stack((mat, mal.weighted[d]))) for d, mat in family.items()], v)
 
     return MeanTrajectory(horizon=horizon, theta=theta,
                           ex=v[:, 0, 0], ez=v[:, 0, 1], ey=v[:, 0, 2],
@@ -130,7 +124,7 @@ def xi_kernel(family, s: int) -> np.ndarray:
         raise ValueError("time must be >= 0")
     xi = np.zeros((s + 1, family.n_types, family.n_types))
     xi[0] = np.eye(family.n_types)
-    _renew(family, xi)
+    _renew_rows(list(family.items()), xi)
     return xi[s]
 
 
@@ -152,7 +146,7 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
 
     With (h, nu) = (``mal.h``, ``mal.nu``), the P-F pair of the mixture
     sum_d e^{-theta d} M_d at the root, the renewal theorem gives
-    g = (E[X(0)]'h) / (nu' sum_d d e^{-theta d} M_d h), and:
+    g = (E[X(0)]'h) / delta, with ``mal.delta`` = nu' sum_d d e^{-theta d} M_d h:
 
     limit_x = g nu
     limit_z = g (sum_{c>=0} P(L>c) e^{-theta c}) nu
@@ -175,15 +169,13 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     p = period(family)
     if p > 1:
         raise PeriodicFamilyError(p)
-    h, nu = mal.h, mal.nu
-    theta = mal.theta
+    nu, theta = mal.nu, mal.theta
     lt = model.lifetime
     x0 = model.initial_mean_vector()
     # taken first: a finite window bounds every weight e^{-theta d} below
     window = _window(theta, family.max_delay)
 
-    g = float(x0 @ h) / math.fsum(d * math.exp(-theta * d) * float(nu @ mat @ h)
-                                  for d, mat in family.items())
+    g = float(x0 @ mal.h) / mal.delta
     series = lt.weighted_survival_series(theta)
     limit_x = g * nu
     limit_z = g * series * nu
@@ -263,6 +255,6 @@ def stationary_check(family, mal: MalthusianSolution) -> float:
     D = family.max_delay
     window = np.zeros((2 * D + 1, family.n_types))
     window[:D] = nu
-    _renew(family, window, start=D, theta=mal.theta)
+    _renew_rows(list(mal.weighted.items()), window, start=D)
     props = window[D:] / window[D:].sum(axis=1, keepdims=True)
     return float(np.max(np.abs(props - nu)))

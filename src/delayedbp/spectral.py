@@ -159,9 +159,11 @@ def pf_decompose(m: np.ndarray) -> PFData:
     return _pf_solve(m, start=None)
 
 
+@np.errstate(all="ignore")
 def _pf_solve(m: np.ndarray, start: PFData | None) -> PFData:
     """``pf_decompose`` of a square irreducible float matrix, unchecked, each
-    side offered the matching vector of ``start`` (see ``_pf_vector``)."""
+    side offered the matching vector of ``start`` (see ``_pf_vector``); an
+    under- or overflowed vector fails the residual check, with no warning."""
     n = m.shape[0]
     if n == 1:
         one = np.ones(1)
@@ -174,7 +176,7 @@ def _pf_solve(m: np.ndarray, start: PFData | None) -> PFData:
     h_out = h / (nu @ h)
     res_r = float(np.max(np.abs(m @ h_out - rho * h_out)))
     res_l = float(np.max(np.abs(nu @ m - rho * nu)))
-    if max(res_r, res_l) <= PF_TOL * max(1.0, abs(rho)):
+    if all(r <= PF_TOL * max(1.0, abs(rho)) for r in (res_r, res_l)):  # NaN fails
         return PFData(rho=rho, h=h_out, nu=nu,
                       residual_right=res_r, residual_left=res_l)
     if start is not None:  # a warm start never fails where a cold one passes

@@ -755,7 +755,8 @@ class TestLargeDelays:
 
 _HOSTILE = {"delay-1e12": {"delays": [1, 10 ** 12]}, "delay-2^63": {"delays": [1, 2 ** 63]},
             "delay-1e30": {"delays": [1, 10 ** 30]}, "initial-1e30": {"initial": [1e30]},
-            "initial-half": {"initial": [0.5]}}
+            "initial-half": {"initial": [0.5]},
+            "delay-1e12-subnormal": {"delays": [1, 10 ** 12], "means": [0.5, 1e-320]}}
 _SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
                 ["limits", "--horizon", "5"],
                 ["paths", "--s", "6", "--kappa", "2", "--samples", "100", "--seed", "1"],
@@ -765,14 +766,17 @@ _SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizo
 @pytest.mark.parametrize("argv", _SUBCOMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("name", _HOSTILE)
 def test_hostile_config_is_answered_or_typed(name, argv, tmp_path, capsys):
-    # Fibonacci with a huge second delay, or an initial vector no int64
-    # count holds: every subcommand answers, or exits 1 with a typed error,
-    # and none hangs
-    doc = dict(FIB_CONFIG, **_HOSTILE[name])
+    # Fibonacci with a huge second delay (and a mean near the bottom of the
+    # double range), or an initial vector no int64 count holds: every
+    # subcommand answers, or exits 1 with a typed error, and none hangs
+    spec = dict(_HOSTILE[name])
+    means = spec.pop("means", [1.0, 1.0])
+    doc = dict(FIB_CONFIG, **spec)
     delays = doc["delays"]
-    doc["offspring"] = {"kind": "poisson", "means": {str(d): [[1.0]] for d in delays}}
+    doc["offspring"] = {"kind": "poisson",
+                        "means": {str(d): [[m]] for d, m in zip(delays, means)}}
     if argv[0] == "generate":
-        doc = {"P": [[1.0]], "h": [1.0], "rhos": {str(d): 1.0 for d in delays},
+        doc = {"P": [[1.0]], "h": [1.0], "rhos": {str(d): m for d, m in zip(delays, means)},
                "lifetime": doc["lifetime"], "initial": doc["initial"]}
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(doc))
@@ -781,6 +785,31 @@ def test_hostile_config_is_answered_or_typed(name, argv, tmp_path, capsys):
     code = dispatch([argv[0], flag, str(path), *argv[1:], "--out", str(tmp_path / "out")])
     assert time.perf_counter() - start < 5.0
     assert _typed_or_ok(code, capsys.readouterr().err)
+    if argv[0] == "malthusian" and code == 0:
+        # one type: the step weights of a right root sum to one
+        beta = json.loads((tmp_path / "out").read_text())["beta"].values()
+        assert abs(math.fsum(beta) - 1.0) <= 1e-12
+
+
+_UNDERFLOW = {"types": ["a", "b"], "delays": [1],
+              "offspring": {"kind": "poisson", "means": {"1": [[0.0, 1e308], [1e-320, 0.0]]}},
+              "lifetime": {"pmf": [0.0, 1.0]}, "initial": 0}
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
+                                  ["limits", "--horizon", "5"],
+                                  ["paths", "--s", "6", "--samples", "100", "--seed", "1"]],
+                         ids=lambda argv: argv[0])
+def test_underflowed_pf_start_is_typed_without_warning(argv, tmp_path, capsys):
+    # A1 of this matrix underflows to a vector with a zero entry; the P-F
+    # solve must miss its tolerance quietly (pytest turns a RuntimeWarning
+    # into an error) and exit 1 with the typed error alone
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(_UNDERFLOW))
+    assert dispatch([argv[0], "--config", str(path), *argv[1:],
+                     "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:NoConvergenceError") and err.count("\n") == 1
 
 
 class TestSpectralSolvesOnce:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import delayedbp
 from delayedbp import malthusian, spectral
 from delayedbp.cli import dispatch, model_to_config
-from delayedbp import (BracketFailureError, LifetimeLaw, MeanMatrixFamily,
-                       build_companion, evolve_means, mixture_matrix,
+from delayedbp import (BracketFailureError, DelayedBPError, LifetimeLaw,
+                       MeanMatrixFamily, NoConvergenceError, build_companion, evolve_means, mixture_matrix,
                        pf_decompose, solve_malthusian, stationary_check,
                        theorem_limits)
 from conftest import (PHI, make_shared_family, poisson_model_from_family,
@@ -184,6 +184,83 @@ class TestSolveMalthusian:
                 assert warm <= 16
                 cold_shared.append(cold)
         assert max(cold_shared) >= 32
+
+
+class TestRootAtEveryDelayScale:
+    """The root stops on |g|, not on the step, and hands out the weighted
+    family of its last evaluation."""
+
+    @given(st.integers(1, 53).flatmap(lambda k: st.integers(2 ** (k - 1) + 1, 2 ** k)),
+           st.floats(-8.0, 8.0), st.floats(-300.0, 300.0))
+    @settings(max_examples=300, deadline=None)
+    def test_step_weights_sum_to_one(self, D, log_m1, log_md):
+        # one type on {1, D}: the step weights must sum to one exactly, so a
+        # root off by eps in theta shows as an error of about D * eps
+        fam = MeanMatrixFamily((1, D), (np.array([[10.0 ** log_m1]]),
+                                        np.array([[10.0 ** log_md]])))
+        try:
+            sol = solve_malthusian(fam)
+        except DelayedBPError:
+            return
+        assert abs(math.fsum(sol.beta.values()) - 1.0) <= 1e-12
+
+    def test_delta_is_mu_beta_when_shared(self):
+        # nu' M_d h = rho_d on a shared family, so the renewal denominator
+        # nu' sum_d d W_d h is the mean of the step distribution
+        rng = np.random.default_rng(113)
+        for n, delays in ((1, (1, 2)), (3, (1, 3, 7)), (6, (2, 5)), (8, (1, 2, 3, 4))):
+            fam, _, _, _ = make_shared_family(rng, n, delays, mix=float(rng.uniform(0.1, 1.0)))
+            sol = solve_malthusian(fam)
+            assert sol.delta == pytest.approx(sol.mu_beta, rel=1e-13)
+
+    def test_weighted_is_the_scaled_family(self):
+        rng = np.random.default_rng(127)
+        fam = random_positive_family(rng, 4, (1, 3, 7))
+        sol = solve_malthusian(fam)
+        assert list(sol.weighted) == list(fam.delays)
+        for d, mat in fam.items():
+            assert np.allclose(sol.weighted[d], math.exp(-sol.theta * d) * mat,
+                               rtol=1e-13, atol=0.0)
+
+    def test_exhausted_newton_raises(self, monkeypatch, tmp_path, capsys):
+        # one evaluation cannot reach the root of a two-delay family; the
+        # loop must raise rather than return its last iterate
+        fam = MeanMatrixFamily((1, 2), (np.array([[1.0]]), np.array([[1.0]])))
+        monkeypatch.setattr(malthusian, "MAX_NEWTON", 1)
+        with pytest.raises(NoConvergenceError):
+            solve_malthusian(fam)
+        path = tmp_path / "fib.json"
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        path.write_text(json.dumps(model_to_config(model)))
+        assert dispatch(["malthusian", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:NoConvergenceError: Newton's method")
+
+    def test_no_solve_follows_the_last_evaluation(self, monkeypatch):
+        # P-F solves per root: one per delay (family_pf) and one per g
+        # evaluation; a warm miss's cold retry is nested and not counted
+        solves, depth, evals = [], [], []
+        real_solve, real_growth = spectral._pf_solve, malthusian._log_growth
+
+        def solve(m, start):
+            solves.append(not depth)
+            depth.append(1)
+            try:
+                return real_solve(m, start)
+            finally:
+                depth.pop()
+
+        def growth(*args):
+            evals.append(1)
+            return real_growth(*args)
+
+        monkeypatch.setattr(spectral, "_pf_solve", solve)
+        monkeypatch.setattr(malthusian, "_pf_solve", solve)
+        monkeypatch.setattr(malthusian, "_log_growth", growth)
+        for _, fam in TestSolveMalthusian._seeded_families():
+            solves.clear()
+            evals.clear()
+            solve_malthusian(fam)
+            assert sum(solves) == len(fam.delays) + len(evals)
 
 
 class TestCompanion:

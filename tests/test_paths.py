@@ -347,14 +347,15 @@ class TestXiBySampling:
 def _loop_sampling(family, mal, s, n_samples, seed):
     """The sampler as a per-row loop: steps from ``Generator.choice``, one
     chain of matmuls per hit sample, accumulated in sample order.  A step d
-    weighs exp(-theta d) M_d / p_d, or 1 with one type."""
+    weighs W_d / p_d, with W_d = exp(-theta d) M_d from ``mal.weighted``, or 1
+    with one type."""
     n = family.n_types
     if s == 0:
         return np.eye(n), np.zeros((n, n))
     delays = np.array(family.delays)
     probs = np.array([mal.beta[d] for d in family.delays])
     probs = probs / probs.sum()
-    weight = {d: family.matrix(d) * (math.exp(-mal.theta * d) / p) if n > 1 else np.ones((1, 1))
+    weight = {d: mal.weighted[d] / p if n > 1 else np.ones((1, 1))
               for d, p in zip(family.delays, probs)}
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))

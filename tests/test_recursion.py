@@ -131,9 +131,10 @@ class TestEvolveMeans:
             assert np.all(heavier.ey <= lighter.ey + 1e-12)
 
     def test_joint_renewal_matches_two_pass_bitwise(self):
-        # reference: the raw and the weighted state renewed apart, each through
-        # _renew; the joint (raw, weighted) state must give the same bits
-        from delayedbp.recursion import _renew, _scaled, _weighted_survival
+        # reference: the raw and the weighted state renewed apart, the raw
+        # through M_d and the weighted through the solution's W_d; the joint
+        # (raw, weighted) state must give the same bits
+        from delayedbp.recursion import _renew_rows, _scaled, _weighted_survival
         rng = np.random.default_rng(211)
         for _ in range(12):
             n = int(rng.integers(1, 7))
@@ -157,8 +158,8 @@ class TestEvolveMeans:
             for s in range(min(fam.max_delay, horizon) + 1):
                 raw[s, 2] = x0 * lt.prob(0)
                 wtd[s, 2] = _scaled(x0, lt.prob(0), -theta * s)
-            _renew(fam, raw)
-            _renew(fam, wtd, theta=theta)
+            _renew_rows(list(fam.items()), raw)
+            _renew_rows(list(sol.weighted.items()), wtd)
             for k, name in enumerate("xzy"):
                 assert np.array_equal(getattr(traj, "e" + name), raw[:, k])
                 assert np.array_equal(getattr(traj, "w" + name), wtd[:, k])
