@@ -23,7 +23,7 @@ rhos = {1: 0.55, 2: 0.35, 3: 0.25}
 family = construct_shared_family(P, h, rhos)
 report = shared_pf_check(family)
 print("shared:", report.shared, " common nu:", np.round(report.nu, 6))
-print("per-age eigenvalues:", report.per_delay_rho)
+print("per-age eigenvalues:", {d: pf.rho for d, pf in report.pf.items()})
 print("matrices commute?", commute_check(family), "(sharing does not require it)")
 
 lifetime = LifetimeLaw(pmf=(0.2, 0.1, 0.3, 0.4), death_prob=0.05)
@@ -53,7 +53,7 @@ print("gaps to the trajectory at s=300:", rep.empirical_gap)
 print("\ntype mix of the population settles at nu:", np.round(rep.type_limit, 6))
 print("stationary profile residual:", stationary_check(family, sol))
 
-ages = age_distribution(model, family, sol, 300)
+ages = age_distribution(model, family, 300)
 print("\nage profile of active spreaders at s=300 (columns = types):")
 print(np.round(ages, 6))
 print("closed-form limit column:", np.round(rep.age_limit, 6))

@@ -10,8 +10,7 @@ cross-checks everything against exact path enumeration and individual-level
 Monte Carlo simulation.
 """
 
-from .errors import (AllTruncatedError, BracketFailureError,
-                     CapExceededError, DelayedBPError,
+from .errors import (AllTruncatedError, CapExceededError, DelayedBPError,
                      DegenerateDenominatorError, DuplicateDelayError,
                      HorizonTooLargeError, NegativeEntryError,
                      NoConvergenceError, NonIrreducibleError,

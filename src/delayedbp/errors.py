@@ -52,10 +52,6 @@ class NotStochasticError(DelayedBPError):
         super().__init__(f"row {row} sums to {row_sum!r}, not 1")
 
 
-class BracketFailureError(DelayedBPError):
-    """The Malthusian root lies outside [1e-9, 1e9]."""
-
-
 class PeriodicFamilyError(DelayedBPError):
     """The family's cycle lengths have a common divisor above one: the
     weighted means oscillate over residues of that period and have no limit."""

@@ -21,32 +21,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailureError, NoConvergenceError
+from .errors import NoConvergenceError
 from .spectral import PFData, _pf_solve, family_pf, matrix_inf_norm, pf_decompose
 
-RHO_MIN = 1e-9
-RHO_MAX = 1e9
 MAX_NEWTON = 100  # g evaluations; at most 12 measured on delays up to 2^53, 1 for one delay
 ROOT_TOL = 1e-14  # |g| at or below which the root is reached
 CRIT_TOL = 1e-9  # |theta| at or below which the regime is critical
 
 
-def _scaled_terms(family, t: float) -> tuple[list[tuple[int, np.ndarray]], float]:
+def _normed(family) -> list[tuple[int, float, np.ndarray]]:
+    """(d, log ||M_d||_inf, M_d / ||M_d||_inf): the t-free part of the terms."""
+    norms = [(d, mat, matrix_inf_norm(mat)) for d, mat in family.items()]
+    return [(d, math.log(nm), mat / nm) for d, mat, nm in norms]
+
+
+def _scaled_terms(normed, t: float) -> tuple[list[tuple[int, np.ndarray]], float]:
     """The terms (d, exp(-d*t - c) M_d) of the mixture at rho = e^t, scaled
     by e^{-c} with c = max_d(-d*t + log ||M_d||_inf): the largest term has
     norm one, so no weight overflows however large d*|t| is."""
-    norms = [(d, mat, matrix_inf_norm(mat)) for d, mat in family.items()]
-    c = max(math.log(nm) - d * t for d, _, nm in norms)
-    return [(d, math.exp(math.log(nm) - d * t - c) * (mat / nm)) for d, mat, nm in norms], c
+    c = max(log_nm - d * t for d, log_nm, _ in normed)
+    return [(d, math.exp(log_nm - d * t - c) * unit) for d, log_nm, unit in normed], c
 
 
 def mixture_matrix(family, rho: float) -> np.ndarray:
     """sum_d rho^{-d} M_d, summed from the scaled terms."""
-    terms, c = _scaled_terms(family, math.log(rho))
+    terms, c = _scaled_terms(_normed(family), math.log(rho))
     return math.exp(c) * sum(mat for _, mat in terms)
 
 
-def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData, list, float]:
+def _log_growth(normed, t: float, start: PFData) -> tuple[float, float, PFData, list, float]:
     """g = log of the P-F eigenvalue lambda of sum_d e^{-d t} M_d, its
     derivative in t, the mixture's P-F data solved from ``start``, and the
     scaled terms with c (log lambda = log lambda_c + c).  The mixture is
@@ -58,7 +61,7 @@ def _log_growth(family, t: float, start: PFData) -> tuple[float, float, PFData, 
     g is decreasing and convex in t, since the spectral radius of a matrix
     with log-convex entries is log-convex (Kingman, 1961).
     """
-    terms, c = _scaled_terms(family, t)
+    terms, c = _scaled_terms(normed, t)
     pf = _pf_solve(sum(mat for _, mat in terms), start)
     slope = -math.fsum(d * float(pf.nu @ mat @ pf.h) for d, mat in terms)
     return math.log(pf.rho) + c, slope / pf.rho, pf, terms, c
@@ -129,8 +132,8 @@ def solve_malthusian(family) -> MalthusianSolution:
     monotonically.  The search returns the first evaluated theta with
     |g| <= ``ROOT_TOL`` or |g| no smaller than before (g's rounding floor),
     since beta_D magnifies an error in theta D times; ``MAX_NEWTON``
-    evaluations without that raise NoConvergenceError.  A root outside
-    [1e-9, 1e9] raises BracketFailureError.
+    evaluations without that raise NoConvergenceError.  The matrix norms
+    that scale the terms are taken once, before the first evaluation.
 
     The step distribution beta_d = exp(log rho_d - theta*d) sums to one
     exactly when the family shares P-F eigenvectors; otherwise a warning is
@@ -145,18 +148,15 @@ def solve_malthusian(family) -> MalthusianSolution:
     rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
     theta = min(math.log(r) / d for d, r in rho_d.items())
-    pf, last = pf_d[family.delays[-1]], math.inf
+    pf, last, normed = pf_d[family.delays[-1]], math.inf, _normed(family)
     for _ in range(MAX_NEWTON):
-        g, slope, pf, terms, c = _log_growth(family, theta, pf)
+        g, slope, pf, terms, c = _log_growth(normed, theta, pf)
         if abs(g) <= ROOT_TOL or abs(g) >= last:
             break
         last = abs(g)
         theta -= g / slope
     else:
         raise NoConvergenceError(MAX_NEWTON, "Newton's method for the growth rate")
-    if not math.log(RHO_MIN) <= theta <= math.log(RHO_MAX):
-        raise BracketFailureError(
-            f"no root of the growth equation inside [{RHO_MIN}, {RHO_MAX}]")
     rho_hat = math.exp(theta)
 
     beta = {d: math.exp(math.log(rho_d[d]) - theta * d) for d in family.delays}

@@ -10,15 +10,17 @@ mean-matrix family.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (DuplicateDelayError, NegativeEntryError, NonIrreducibleError,
-                     SchemaError)
+from .errors import (DuplicateDelayError, HorizonTooLargeError, NegativeEntryError,
+                     NonIrreducibleError, SchemaError, TailDivergesError)
 
 _NORM_TOL = 1e-12
 MAX_DELAY = 2 ** 53  # weights e^{-theta d} take d as a double, exact up to 2^53
@@ -168,32 +170,58 @@ class LifetimeLaw:
         by_age = np.array((0.0, dp) if isinstance(dp, float) else (0.0, *dp))
         return pmf, by_age.take(np.arange(ages), mode="clip")  # the last entry repeats
 
-    def mean(self) -> float:
-        """E[L]."""
-        m = math.fsum(l * p for l, p in enumerate(self.pmf))
-        if self.tail_mass > 0.0:
-            m += self.tail_mass * (self.max_finite + 1.0 / (1.0 - self.tail_ratio))
-        return m
+    def weighted_survival(self, scale, theta: float, ages) -> np.ndarray:
+        """Rows scale * P(L > c) e^{-theta c}, one per age c in ``ages``, for a
+        number or vector ``scale``: scale * (survival(c) * e^{-theta c}), so at
+        theta = 0 row c is scale * survival(c) bit for bit.  Where e^{-theta c}
+        overflows, or lifts a P(L > c) that underflowed, the row is taken in log
+        space, with log P(L > c) in closed form on the geometric tail, so an
+        entry is inf only where its true value passes the double range."""
+        m, q, rem = self.max_finite, self.tail_ratio, self.tail_mass
+        rows = []
+        for c in ages:
+            f = self.survival(c)
+            log_f = (math.log(rem) + (c - m) * math.log(q) if q and rem and c >= m
+                     else math.log(f) if f else -math.inf)
+            rows.append(_times_exp(scale, f, log_f, -theta * c))
+        return np.array(rows)
+
+    def weighted_asymptomatic(self, scale, theta: float, ages) -> np.ndarray:
+        """Rows scale * P(L = 0) e^{-theta c}, one per age c in ``ages``, by
+        the rule of ``weighted_survival``."""
+        p0 = self.prob(0)
+        log_p0 = math.log(p0) if p0 else -math.inf
+        return np.array([_times_exp(scale, p0, log_p0, -theta * c) for c in ages])
 
     def weighted_survival_series(self, theta: float) -> float:
-        """sum_{c>=0} P(L > c) * exp(-theta*c) in closed form.
-
-        The finite part is summed term by term; the geometric tail collapses
-        to tail_mass * exp(-theta*L_max) / (1 - q*exp(-theta)).  Raises
-        TailDivergesError when q*exp(-theta) >= 1.
+        """sum_{c>=0} P(L > c) e^{-theta c}: the ``weighted_survival`` rows
+        c < L_max term by term, then the geometric tail from c = L_max as row
+        L_max / (1 - q e^{-theta}).  Raises TailDivergesError when
+        q e^{-theta} >= 1, and HorizonTooLargeError past the double range.
         """
-        from .errors import TailDivergesError
-
-        w = math.exp(-theta)
-        total = math.fsum(self.survival(c) * w ** c for c in range(self.max_finite))
-        rem = self.tail_mass
-        if rem > 0.0:
-            ratio = self.tail_ratio * w
+        m = self.max_finite
+        terms = list(self.weighted_survival(1.0, theta, range(m + 1)))
+        if self.tail_mass > 0.0:
+            q = self.tail_ratio
+            ratio = float(_times_exp(1.0, q, math.log(q) if q else -math.inf, -theta))
             if ratio >= 1.0:
-                raise TailDivergesError(
-                    f"geometric rate {ratio!r} >= 1 beyond the finite lifetime part")
-            total += rem * w ** self.max_finite / (1.0 - ratio)
-        return total
+                raise TailDivergesError(f"geometric rate {ratio!r} >= 1 beyond the finite lifetime part")
+            terms[m] /= 1.0 - ratio
+        with contextlib.suppress(OverflowError):  # fsum's, on finite terms
+            if (total := math.fsum(terms)) < math.inf:
+                return total
+        raise HorizonTooLargeError(m, "the series sum_c P(L > c) e^{-theta c} passed the double range")
+
+
+def _times_exp(scale, factor: float, log_factor: float, exponent: float):
+    """scale * (factor * e^exponent), the bracket taken first; in log space
+    where e^exponent would overflow, or would lift a factor that underflowed,
+    so the product is inf only where its true value passes the double range."""
+    if exponent < 709.0 and (exponent <= 0.0 or factor >= sys.float_info.min
+                             or log_factor == -math.inf):
+        return scale * (factor * math.exp(exponent))
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(scale) + (log_factor + exponent))
 
 
 @dataclass(frozen=True)

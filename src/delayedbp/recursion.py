@@ -4,26 +4,26 @@ Everything here is driven by one linear recursion, the renewal step of
 ``_renew_rows``: row s of a stacked state is its preloaded source plus the
 sum over delays d of row s-d pushed through M_d.  A row may be one mean
 vector or a stack of them (the last axis always indexes types), so one step
-serves every quantity at once.  The three processes differ only in their
-source:
+serves every quantity at once.  The means weighted by exp(-theta*s) run the
+step with M_d replaced by W_d = exp(-theta*d) M_d (``mal.weighted``), which
+keeps long horizons inside floating-point range; the raw means are the case
+theta = 0.  For one theta the three processes differ only in their source,
+built by ``_sources`` from the lifetime's weighted rows:
 
 * incidence X:     E[X(0)] at s = 0, nothing afterwards;
-* symptomatic Z:   E[X(0)] * P(L > s) at every s;
-* asymptomatic Y:  E[X(0)] * P(L = 0) on the window 0 <= s <= D.
+* symptomatic Z:   E[X(0)] * P(L > s) * exp(-theta*s) at every s;
+* asymptomatic Y:  E[X(0)] * P(L = 0) * exp(-theta*s) on the window 0 <= s <= D.
 
-Geometrically weighted versions (multiplied by exp(-theta*s)) run the same
-step with M_d replaced by W_d = exp(-theta*d) M_d, read from ``mal.weighted``,
-rather than being rescaled after the fact, which keeps long horizons inside
-floating-point range.  ``evolve_means`` renews one state of shape
-(S+1, 2, 3, types): (raw, weighted) x (X, Z, Y), with per-delay stacked
-matrices [M_d, W_d] of shape (2, types, types), so the raw and weighted means
-advance in one pass and the overflow guard sees all six series at once.  The
-kernel Xi(s) is the same step on a stack of n rows started from the
-identity, so that E[X(s)]' = E[X(0)]' Xi(s).
+``evolve_means`` renews theta = 0 and the root together, a state of shape
+(S+1, 2, 3, types) against per-delay stacks [M_d, W_d], so the overflow guard
+sees all six series at once; ``theorem_limits`` renews the weighted means
+alone and ``age_distribution`` the raw ones.  The kernel Xi(s) is the same
+step on n rows started from the identity, so that E[X(s)]' = E[X(0)]' Xi(s).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -42,12 +42,13 @@ def _renew_rows(mats, v: np.ndarray, start: int = 0) -> None:
     s >= start; ``mat`` may be a stack that broadcasts against a row.
 
     Raises HorizonTooLargeError at the first such s whose row exceeds
-    OVERFLOW_LIMIT.
+    OVERFLOW_LIMIT: an overflowed row holds inf (earlier rows are finite).
     """
-    for s in range(start, len(v)):
-        v[s] += sum(v[s - d] @ mat for d, mat in mats if d <= s)
-        if v[s].max() > OVERFLOW_LIMIT:
-            raise HorizonTooLargeError(s)
+    with np.errstate(over="ignore"):
+        for s in range(start, len(v)):
+            v[s] += sum(v[s - d] @ mat for d, mat in mats if d <= s)
+            if v[s].max() > OVERFLOW_LIMIT:
+                raise HorizonTooLargeError(s)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,17 @@ class MeanTrajectory:
     wy: np.ndarray = field(repr=False)
 
 
+def _sources(v: np.ndarray, model, theta: float, max_delay: int) -> np.ndarray:
+    """Fill v, zeros of shape (S+1, 3, types), with the X, Z and Y sources of
+    the means weighted by exp(-theta*s) at s = 0..S; returns v."""
+    lt, x0 = model.lifetime, model.initial_mean_vector()
+    v[0, 0] = x0
+    v[:, 1] = lt.weighted_survival(x0, theta, range(len(v)))
+    window = range(min(max_delay, len(v) - 1) + 1)
+    v[:len(window), 2] = lt.weighted_asymptomatic(x0, theta, window)
+    return v
+
+
 def evolve_means(model, family, horizon: int, mal: MalthusianSolution | None = None) -> MeanTrajectory:
     """Run the mean recursions up to ``horizon``.
 
@@ -77,45 +89,13 @@ def evolve_means(model, family, horizon: int, mal: MalthusianSolution | None = N
         raise ValueError("horizon must be >= 0")
     if mal is None:
         mal = solve_malthusian(family)
-    theta = mal.theta
-    lt = model.lifetime
-    x0 = model.initial_mean_vector()
-
-    # row s stacks (raw, weighted) x (X, Z, Y); preload the sources, then renew
-    v = np.zeros((horizon + 1, 2, 3, family.n_types))
-    v[0, :, 0] = x0
-    for s in range(horizon + 1):
-        v[s, 0, 1] = x0 * lt.survival(s)
-        v[s, 1, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
-    for s in range(min(family.max_delay, horizon) + 1):
-        v[s, 0, 2] = x0 * lt.prob(0)
-        v[s, 1, 2] = _scaled(x0, lt.prob(0), -theta * s)
+    v = np.zeros((horizon + 1, 2, 3, family.n_types))  # row s: (raw, weighted) x (X, Z, Y)
+    for k, theta in enumerate((0.0, mal.theta)):
+        _sources(v[:, k], model, theta, family.max_delay)
     _renew_rows([(d, np.stack((mat, mal.weighted[d]))) for d, mat in family.items()], v)
-
-    return MeanTrajectory(horizon=horizon, theta=theta,
+    return MeanTrajectory(horizon=horizon, theta=mal.theta,
                           ex=v[:, 0, 0], ez=v[:, 0, 1], ey=v[:, 0, 2],
                           wx=v[:, 1, 0], wz=v[:, 1, 1], wy=v[:, 1, 2])
-
-
-def _weighted_survival(lt, c: int, theta: float) -> tuple[float, float]:
-    """P(L > c) * exp(-theta*c) as a (factor, exponent) pair, the exponent
-    taken in log space on the geometric tail so that subcritical weighting
-    cannot overflow prematurely."""
-    rem = lt.tail_mass
-    if c < lt.max_finite or not lt.tail_ratio or rem == 0.0:
-        return lt.survival(c), -theta * c
-    return 1.0, math.log(rem) + (c - lt.max_finite) * math.log(lt.tail_ratio) - theta * c
-
-
-def _scaled(x0: np.ndarray, factor: float, exponent: float) -> np.ndarray:
-    """x0 * factor * exp(exponent); where exp(exponent) alone overflows the
-    product is taken in log space, so entries are inf only past the double
-    range and the overflow guard fires where the true value passes 1e300."""
-    try:
-        return x0 * (factor * math.exp(exponent))
-    except OverflowError:
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(np.log(x0 * factor) + exponent)
 
 
 def xi_kernel(family, s: int) -> np.ndarray:
@@ -163,9 +143,12 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     common divisor above one raises PeriodicFamilyError.  In the
     subcritical regime the lifetime series must converge (geometric tail
     ratio below exp(theta)), otherwise TailDivergesError propagates from
-    the series.  A Y window past the double range raises
-    HorizonTooLargeError.
+    the series.  A Y window or a series past the double range raises
+    HorizonTooLargeError.  The gaps renew the weighted means alone, so the
+    raw means may pass 1e300 before ``horizon``.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     p = period(family)
     if p > 1:
         raise PeriodicFamilyError(p)
@@ -181,15 +164,13 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     limit_z = g * series * nu
     limit_y = g * lt.prob(0) * window * nu
 
-    age_w = np.array([lt.survival(d) * math.exp(-theta * d) for d in family.delays])
+    age_w = lt.weighted_survival(1.0, theta, family.delays)
     age_limit = age_w / age_w.sum() if age_w.sum() > 0 else None
 
-    traj = evolve_means(model, family, horizon, mal)
-    gap = {
-        "x": float(np.max(np.abs(traj.wx[horizon] - limit_x))),
-        "z": float(np.max(np.abs(traj.wz[horizon] - limit_z))),
-        "y": float(np.max(np.abs(traj.wy[horizon] - limit_y))),
-    }
+    v = _sources(np.zeros((horizon + 1, 3, len(nu))), model, theta, family.max_delay)
+    _renew_rows(list(mal.weighted.items()), v)
+    gap = {name: float(np.max(np.abs(v[horizon, k] - lim)))
+           for k, (name, lim) in enumerate(zip("xzy", (limit_x, limit_z, limit_y)))}
     return LimitReport(limit_x=limit_x, limit_z=limit_z, limit_y=limit_y,
                        type_limit=nu, age_limit=age_limit,
                        empirical_gap=gap, horizon=horizon)
@@ -201,20 +182,17 @@ def _window(theta: float, D: int) -> float:
     HorizonTooLargeError at lag D past the double range."""
     cut = min(D, _TERMWISE_LAGS)
     r = D - cut
-    try:
+    with contextlib.suppress(OverflowError):
         terms = [math.exp(-theta * c) for c in range(cut + 1)]
         if r:
             terms.append(r if theta == 0 else math.exp(-theta * (cut + 1))
                          * math.expm1(-theta * r) / math.expm1(-theta))
-        total = math.fsum(terms)
-        if total < math.inf:
+        if (total := math.fsum(terms)) < math.inf:
             return total
-    except OverflowError:
-        pass
     raise HorizonTooLargeError(D, "the Y window sum_{c<=D} e^{-theta c} passed the double range")
 
 
-def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarray:
+def age_distribution(model, family, s: int) -> np.ndarray:
     """Age profile of the expected actively reproducing population at time s.
 
     Entry (k, j) is the fraction of the type-j reproducing population whose
@@ -223,17 +201,17 @@ def age_distribution(model, family, mal: MalthusianSolution, s: int) -> np.ndarr
         E[X_j(s - d)] P(L > d) / sum_d' E[X_j(s - d')] P(L > d')
 
     As s grows each column tends to P(L>d) e^{-theta d}, normalized over the
-    delay set.
+    delay set (``theorem_limits``' ``age_limit``).
     """
     D = family.max_delay
     if s <= D:
         raise ValueError(f"need s > {D} so every age is populated")
-    lt = model.lifetime
-    surv = np.array([lt.survival(d) for d in family.delays])
+    surv = model.lifetime.weighted_survival(1.0, 0.0, family.delays)  # P(L > d)
     if not np.any(surv > 0):
         raise DegenerateDenominatorError("P(L > d) = 0 for every delay")
-    traj = evolve_means(model, family, s, mal)
-    num = np.array([traj.ex[s - d] * surv[k]
+    v = _sources(np.zeros((s + 1, 3, family.n_types)), model, 0.0, D)
+    _renew_rows(list(family.items()), v)
+    num = np.array([v[s - d, 0] * surv[k]
                     for k, d in enumerate(family.delays)])
     denom = num.sum(axis=0)
     if np.any(denom <= 0):

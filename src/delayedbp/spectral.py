@@ -200,7 +200,6 @@ class SharedPFReport:
     shared: bool
     h: np.ndarray | None
     nu: np.ndarray | None
-    per_delay_rho: dict[int, float]
     max_deviation: float
     pf: dict[int, PFData] = field(repr=False)  # per delay, from family_pf
 
@@ -224,7 +223,6 @@ def shared_pf_check(family) -> SharedPFReport:
         shared=shared,
         h=h0 if shared else None,
         nu=nu0 if shared else None,
-        per_delay_rho={d: pf[d].rho for d in family.delays},
         max_deviation=dev,
         pf=pf,
     )

@@ -139,14 +139,13 @@ def test_criterion_6_age_distribution():
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=tuple(pmf)))
         sol = solve_malthusian(fam)
         rep = theorem_limits(model, fam, sol, horizon=50)
-        dist = age_distribution(model, fam, sol, 400)
+        dist = age_distribution(model, fam, 400)
         for j in range(fam.n_types):
             assert np.max(np.abs(dist[:, j] - rep.age_limit)) <= 1e-6
 
     fib_model = make_fibonacci_model()  # L = 3
     fib_family = censored_mean_matrices(fib_model)
-    sol = solve_malthusian(fib_family)
-    dist = age_distribution(fib_model, fib_family, sol, 400)
+    dist = age_distribution(fib_model, fib_family, 400)
     expected = np.array([1.0 / PHI, 1.0 / PHI ** 2])
     assert np.max(np.abs(dist[:, 0] - expected)) <= 1e-9
     _report("6 age distribution of the reproducing population")

@@ -182,6 +182,48 @@ class TestDispatch:
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["empirical_gap"].values()) <= 1e-10
 
+    @staticmethod
+    def _one_type_means(tmp_path, means, lifetime):
+        doc = dict(FIB_CONFIG, delays=[int(d) for d in means], lifetime=lifetime)
+        doc["offspring"] = {"kind": "poisson", "means": {d: [[m]] for d, m in means.items()}}
+        path = tmp_path / "one-type.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_limits_renews_only_the_weighted_means(self, tmp_path, capsys):
+        # rho_hat = 2 + sqrt(20) = 6.47: the raw means pass 1e300 at s = 371,
+        # while the weighted ones settle on their limit
+        path = self._one_type_means(tmp_path, {"1": 4.0, "2": 16.0}, {"pmf": [0.0, 0.5, 0.5]})
+        assert dispatch(["limits", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["horizon"] == 400
+        assert max(doc["empirical_gap"].values()) <= 1e-9
+
+    def test_limits_past_the_raw_overflow(self, fib_config, capsys):
+        # the raw Fibonacci means pass 1e300 at s = 1435
+        docs = []
+        for horizon in ("400", "3000"):
+            assert dispatch(["limits", "--config", fib_config, "--horizon", horizon]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[1]["limit_x"] == docs[0]["limit_x"]
+        assert max(docs[1]["empirical_gap"].values()) <= 1e-9
+
+    def test_limits_series_past_double_range_is_typed(self, tmp_path, capsys):
+        # theta = log 1e-8, so P(L > 48) e^{-48 theta} is about 1e382
+        path = self._one_type_means(tmp_path, {"1": 1e-8}, {"pmf": [0.02] * 50})
+        assert dispatch(["limits", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:HorizonTooLargeError:")
+        assert "Traceback" not in err
+
+    def test_malthusian_root_far_from_one(self, tmp_path, capsys):
+        path = self._one_type_means(tmp_path, {"1": 1e12}, FIB_CONFIG["lifetime"])
+        assert dispatch(["malthusian", "--config", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rho_hat"] == pytest.approx(1e12, rel=1e-14)
+        assert doc["beta"] == {"1": 1.0}
+        assert doc["companion_residual"] == 0.0
+
     def test_paths_run_fraction(self, fib_config, capsys):
         assert dispatch(["paths", "--config", fib_config, "--s", "4",
                          "--kappa", "2"]) == 0
@@ -756,7 +798,11 @@ class TestLargeDelays:
 _HOSTILE = {"delay-1e12": {"delays": [1, 10 ** 12]}, "delay-2^63": {"delays": [1, 2 ** 63]},
             "delay-1e30": {"delays": [1, 10 ** 30]}, "initial-1e30": {"initial": [1e30]},
             "initial-half": {"initial": [0.5]},
-            "delay-1e12-subnormal": {"delays": [1, 10 ** 12], "means": [0.5, 1e-320]}}
+            "delay-1e12-subnormal": {"delays": [1, 10 ** 12], "means": [0.5, 1e-320]},
+            "rho-6.47": {"means": [4.0, 16.0], "lifetime": {"pmf": [0.0, 0.5, 0.5]}},
+            "mean-1e-8-50-ages": {"delays": [1], "means": [1e-8],
+                                  "lifetime": {"pmf": [0.02] * 50}},
+            "mean-1e12": {"delays": [1], "means": [1e12]}}
 _SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
                 ["limits", "--horizon", "5"],
                 ["paths", "--s", "6", "--kappa", "2", "--samples", "100", "--seed", "1"],
@@ -767,7 +813,8 @@ _SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizo
 @pytest.mark.parametrize("name", _HOSTILE)
 def test_hostile_config_is_answered_or_typed(name, argv, tmp_path, capsys):
     # Fibonacci with a huge second delay (and a mean near the bottom of the
-    # double range), or an initial vector no int64 count holds: every
+    # double range), an initial vector no int64 count holds, fast growth, a
+    # root far from one, or a lifetime series past the double range: every
     # subcommand answers, or exits 1 with a typed error, and none hangs
     spec = dict(_HOSTILE[name])
     means = spec.pop("means", [1.0, 1.0])

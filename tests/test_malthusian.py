@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import delayedbp
 from delayedbp import malthusian, spectral
 from delayedbp.cli import dispatch, model_to_config
-from delayedbp import (BracketFailureError, DelayedBPError, LifetimeLaw,
+from delayedbp import (DelayedBPError, LifetimeLaw,
                        MeanMatrixFamily, NoConvergenceError, build_companion, evolve_means, mixture_matrix,
                        pf_decompose, solve_malthusian, stationary_check,
                        theorem_limits)
@@ -80,10 +80,13 @@ class TestSolveMalthusian:
                 assert sol.theta < 0
 
     @pytest.mark.parametrize("m", [1e12, 1e-12], ids=["high", "low"])
-    def test_bracket_failure(self, m):
+    def test_root_far_from_one(self, m):
+        # one delay: theta0 = log m is the root at the first evaluation
         fam = MeanMatrixFamily((1,), (np.array([[m]]),))
-        with pytest.raises(BracketFailureError):
-            solve_malthusian(fam)
+        sol = solve_malthusian(fam)
+        assert sol.rho_hat == pytest.approx(m, rel=1e-14)  # exp(log m)
+        assert sol.beta == {1: 1.0}
+        assert sol.companion_residual == 0.0
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30),
            st.sets(st.integers(1, 4), min_size=1, max_size=4),

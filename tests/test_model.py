@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from delayedbp import (DelayFamily, DuplicateDelayError, LifetimeLaw,
+from delayedbp import (DelayFamily, DuplicateDelayError, HorizonTooLargeError, LifetimeLaw,
                        MeanMatrixFamily, ModelSpec, NegativeEntryError,
                        NonIrreducibleError, OffspringLaw, SchemaError, TailDivergesError,
                        censored_mean_matrices, death_prob_by_age, validate)
@@ -74,16 +74,25 @@ class TestLifetimeLaw:
         for c in range(6):
             assert lt.survival(c) == pytest.approx(0.5 ** (c + 1), rel=1e-14)
         assert lt.prob(3) == pytest.approx(0.5 * 0.25 * 0.5, rel=1e-14)
-        assert lt.mean() == pytest.approx(1.0, rel=1e-14)
+        assert lt.weighted_survival_series(0.0) == pytest.approx(1.0, rel=1e-14)  # E[L]
 
     def test_series_at_zero_theta_is_mean(self):
         lt = LifetimeLaw(pmf=(0.1, 0.2, 0.3), tail_ratio=0.25)
-        assert lt.weighted_survival_series(0.0) == pytest.approx(lt.mean(), rel=1e-13)
+        mean = math.fsum(l * lt.prob(l) for l in range(400))
+        assert lt.weighted_survival_series(0.0) == pytest.approx(mean, rel=1e-13)
 
     def test_series_divergence(self):
         lt = LifetimeLaw(pmf=(0.5,), tail_ratio=0.5)
         with pytest.raises(TailDivergesError):
             lt.weighted_survival_series(-1.0)
+
+    def test_series_past_double_range_is_typed(self):
+        # e^{-theta c} with theta = log 1e-8 overflowed w ** c for c >= 39
+        lt = LifetimeLaw(pmf=(0.02,) * 50)
+        with pytest.raises(HorizonTooLargeError):
+            lt.weighted_survival_series(math.log(1e-8))
+        assert lt.weighted_survival_series(math.log(1e-6)) == pytest.approx(
+            math.fsum(lt.survival(c) * 1e6 ** c for c in range(49)), rel=1e-13)
 
     def test_death_prob_zero_for_asymptomatic(self):
         lt = LifetimeLaw(pmf=(0.5, 0.5), death_prob=0.7)
@@ -104,7 +113,7 @@ class TestLifetimeLaw:
     def test_near_normalized_has_no_mass_past_pmf(self):
         lt = LifetimeLaw(pmf=(0.5, 0.4999999999999))
         assert [lt.survival(c) for c in (1, 2, 50)] == [0.0, 0.0, 0.0]
-        assert lt.mean() == pytest.approx(0.5, rel=1e-12)
+        assert lt.weighted_survival_series(0.0) == pytest.approx(0.5, rel=1e-12)  # E[L]
         assert lt.weighted_survival_series(-5.0) == 0.5  # only P(L > 0) at c = 0
 
     def test_all_asymptomatic_warns(self):
@@ -185,14 +194,17 @@ class TestDeathProbByAge:
         assert death_prob_by_age(model.lifetime, 10 ** 6) == pytest.approx(0.4, rel=1e-14)
 
 
+_LIFETIMES = [
+    ((0.2, 0.3, 0.5), None, 0.3),
+    ((0.4, 0.6), None, (0.1, 0.2)),          # no tail, short death table
+    ((0.1, 0.2, 0.3), 0.6, (0.1, 0.7, 0.2)),
+    ((0.5,), 0.0, ()),
+    ((0.0, 0.25), 0.95, 1.0),
+]
+
+
 class TestLifetimeTables:
-    @pytest.mark.parametrize("pmf,tail,dp", [
-        ((0.2, 0.3, 0.5), None, 0.3),
-        ((0.4, 0.6), None, (0.1, 0.2)),          # no tail, short death table
-        ((0.1, 0.2, 0.3), 0.6, (0.1, 0.7, 0.2)),
-        ((0.5,), 0.0, ()),
-        ((0.0, 0.25), 0.95, 1.0),
-    ])
+    @pytest.mark.parametrize("pmf,tail,dp", _LIFETIMES)
     def test_tables_match_per_age_calls(self, pmf, tail, dp):
         lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
         for ages in (1, 2, 3, 40):
@@ -201,6 +213,49 @@ class TestLifetimeTables:
             for l in range(ages):
                 assert p[l] == pytest.approx(lt.prob(l), rel=1e-14, abs=0.0)
                 assert death[l] == lt.death_prob_at(l)
+
+    @pytest.mark.parametrize("pmf,tail,dp", _LIFETIMES)
+    def test_unweighted_rows_are_survival(self, pmf, tail, dp):
+        lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+        rows = lt.weighted_survival(1.0, 0.0, range(41))
+        assert [float(r) for r in rows] == [lt.survival(c) for c in range(41)]
+        x0 = np.array([0.0, 0.3, 7.0])
+        assert np.array_equal(lt.weighted_survival(x0, 0.0, range(41)),
+                              [x0 * lt.survival(c) for c in range(41)])
+
+    def test_weighted_rows_overflow_only_past_double_range(self):
+        # theta = log 0.1: P(L > c) e^{-theta c} = 0.5 * 0.9^(c-1) * 10^c
+        # passes the double range at c = 324, and 1e-10 of it does not
+        lt = LifetimeLaw(pmf=(0.0, 0.5), tail_ratio=0.9)
+        theta = math.log(0.1)
+
+        def exact(c, scale):
+            return math.exp(math.log(scale) + math.log(0.5) + (c - 1) * math.log(0.9) - theta * c)
+
+        rows = lt.weighted_survival(np.array([1e-10, 1.0, 0.0]), theta, range(320, 330))
+        assert rows[:, 0] == pytest.approx([exact(c, 1e-10) for c in range(320, 330)], rel=1e-12)
+        assert np.all(np.isinf(rows[4:, 1])) and np.all(np.isfinite(rows[:4, 1]))
+        assert not np.any(rows[:, 2])
+
+    def test_weighted_rows_lift_an_underflowed_tail(self):
+        # P(L > c) = 0.5 * 1e-5^c is 0 in doubles from c = 65; e^{-theta c} lifts
+        # it back into range, alone (theta = log 1e-3) or while it overflows
+        # itself (theta = log 1e-5)
+        lt = LifetimeLaw(pmf=(0.5,), tail_ratio=1e-5)
+        assert lt.survival(70) == lt.survival(100) == 0.0
+        assert lt.weighted_survival(1.0, math.log(1e-3), (70,))[0] == pytest.approx(
+            0.5e-140, rel=1e-12)
+        assert lt.weighted_survival(1.0, math.log(1e-5), (100,))[0] == pytest.approx(
+            0.5, rel=1e-12)
+
+    def test_asymptomatic_rows(self):
+        lt = LifetimeLaw(pmf=(0.25, 0.75))
+        x0 = np.array([1e-40, 2.0])
+        rows = lt.weighted_asymptomatic(x0, -2.0, range(400))
+        assert np.array_equal(rows[:300], [x0 * (0.25 * math.exp(2.0 * c)) for c in range(300)])
+        # e^{2c} overflows from c = 355 on, 1e-40 of it does not
+        assert rows[399, 0] == pytest.approx(math.exp(math.log(0.25e-40) + 798.0), rel=1e-12)
+        assert np.isinf(rows[399, 1])
 
 
 class TestCensoredMeans:

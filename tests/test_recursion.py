@@ -132,9 +132,10 @@ class TestEvolveMeans:
 
     def test_joint_renewal_matches_two_pass_bitwise(self):
         # reference: the raw and the weighted state renewed apart, the raw
-        # through M_d and the weighted through the solution's W_d; the joint
+        # through M_d from P(L > s) and P(L = 0), the weighted through the
+        # solution's W_d from the lifetime's weighted rows; the joint
         # (raw, weighted) state must give the same bits
-        from delayedbp.recursion import _renew_rows, _scaled, _weighted_survival
+        from delayedbp.recursion import _renew_rows
         rng = np.random.default_rng(211)
         for _ in range(12):
             n = int(rng.integers(1, 7))
@@ -149,15 +150,16 @@ class TestEvolveMeans:
             traj = evolve_means(model, fam, horizon, sol)
 
             theta, x0 = sol.theta, model.initial_mean_vector()
+            window = range(min(fam.max_delay, horizon) + 1)
             raw = np.zeros((horizon + 1, 3, n))
             wtd = np.zeros_like(raw)
             raw[0, 0] = wtd[0, 0] = x0
             for s in range(horizon + 1):
                 raw[s, 1] = x0 * lt.survival(s)
-                wtd[s, 1] = _scaled(x0, *_weighted_survival(lt, s, theta))
-            for s in range(min(fam.max_delay, horizon) + 1):
+            for s in window:
                 raw[s, 2] = x0 * lt.prob(0)
-                wtd[s, 2] = _scaled(x0, lt.prob(0), -theta * s)
+            wtd[:, 1] = lt.weighted_survival(x0, theta, range(horizon + 1))
+            wtd[:len(window), 2] = lt.weighted_asymptomatic(x0, theta, window)
             _renew_rows(list(fam.items()), raw)
             _renew_rows(list(sol.weighted.items()), wtd)
             for k, name in enumerate("xzy"):
@@ -169,6 +171,16 @@ class TestEvolveMeans:
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
         with pytest.raises(HorizonTooLargeError):
             evolve_means(model, fam, 350)
+
+    def test_product_past_double_range_is_typed_without_warning(self):
+        # E[X(34)] = 6.5e8^34 = 4e299 is under the limit, and its product
+        # with M_1 passes the double range; pytest turns a RuntimeWarning
+        # into a failure
+        fam = MeanMatrixFamily((1,), (np.array([[6.5e8]]),))
+        model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
+        with pytest.raises(HorizonTooLargeError) as info:
+            evolve_means(model, fam, 40)
+        assert info.value.s == 35
 
     def test_overflow_guard_reports_first_time(self):
         # 10.0**300 rounds to 1e300, so the first row past the limit is s = 300
@@ -369,7 +381,7 @@ class TestTheoremLimits:
 class TestAgeDistribution:
     def test_fibonacci_lifetime_three_limit(self, fib_model, fib_family):
         sol = solve_malthusian(fib_family)
-        dist = age_distribution(fib_model, fib_family, sol, 60)
+        dist = age_distribution(fib_model, fib_family, 60)
         assert dist[:, 0] == pytest.approx([1.0 / PHI, 1.0 / PHI ** 2], abs=1e-9)
         rep = theorem_limits(fib_model, fib_family, sol, horizon=60)
         assert rep.age_limit == pytest.approx([1.0 / PHI, 1.0 / PHI ** 2], abs=1e-12)
@@ -377,8 +389,7 @@ class TestAgeDistribution:
     def test_single_delay_degenerate(self):
         fam = MeanMatrixFamily((1,), (np.array([[0.9]]),))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 0.5, 0.5)))
-        sol = solve_malthusian(fam)
-        dist = age_distribution(model, fam, sol, 10)
+        dist = age_distribution(model, fam, 10)
         assert dist[:, 0] == pytest.approx([1.0], abs=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -386,8 +397,7 @@ class TestAgeDistribution:
         fam, _, _, _ = make_shared_family(rng, 3, (1, 2, 3))
         lt = LifetimeLaw(pmf=(0.1, 0.2, 0.3, 0.4))
         model = poisson_model_from_family(fam, lt)
-        sol = solve_malthusian(fam)
-        dist = age_distribution(model, fam, sol, 25)
+        dist = age_distribution(model, fam, 25)
         assert dist.sum(axis=0) == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_converges_to_limit_column(self):
@@ -397,21 +407,19 @@ class TestAgeDistribution:
         model = poisson_model_from_family(fam, lt)
         sol = solve_malthusian(fam)
         rep = theorem_limits(model, fam, sol, horizon=60)
-        dist = age_distribution(model, fam, sol, 60)
+        dist = age_distribution(model, fam, 60)
         for j in range(3):
             assert dist[:, j] == pytest.approx(rep.age_limit, abs=1e-6)
 
     def test_all_dead_by_reproduction_age(self):
         fam = MeanMatrixFamily((1, 2), (np.array([[0.7]]), np.array([[0.7]])))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.0, 1.0)))
-        sol = solve_malthusian(fam)
         with pytest.raises(DegenerateDenominatorError):
-            age_distribution(model, fam, sol, 30)
+            age_distribution(model, fam, 30)
 
     def test_requires_s_beyond_max_delay(self, fib_model, fib_family):
-        sol = solve_malthusian(fib_family)
         with pytest.raises(ValueError):
-            age_distribution(fib_model, fib_family, sol, 2)
+            age_distribution(fib_model, fib_family, 2)
 
 
 class TestStationaryCheck:

@@ -254,8 +254,8 @@ class TestSharedCheck:
         rep = shared_pf_check(fam)
         assert rep.shared
         rho_m = pf_decompose(m).rho
-        assert rep.per_delay_rho[1] == pytest.approx(0.7 * rho_m, rel=1e-10)
-        assert rep.per_delay_rho[2] == pytest.approx(1.3 * rho_m, rel=1e-10)
+        assert rep.pf[1].rho == pytest.approx(0.7 * rho_m, rel=1e-10)
+        assert rep.pf[2].rho == pytest.approx(1.3 * rho_m, rel=1e-10)
 
     def test_matrix_and_square_share(self):
         m = np.array([[1.0, 1.0], [1.0, 0.0]])
