@@ -67,9 +67,11 @@ class TailDivergesError(DelayedBPError):
 
 
 class HorizonTooLargeError(DelayedBPError):
-    def __init__(self, s, what="mean trajectory exceeded 1e300"):
+    """A value left its computable range at index ``s``: a time, age or lag."""
+
+    def __init__(self, s, message=None):
         self.s = s
-        super().__init__(f"{what} at time {s}")
+        super().__init__(message or f"mean trajectory exceeded 1e300 at time {s}")
 
 
 class OutOfMemoryError(DelayedBPError):

@@ -16,6 +16,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,50 +116,27 @@ class LifetimeLaw:
         """Largest lifetime covered by the explicit pmf."""
         return len(self.pmf) - 1
 
-    @property
+    @cached_property
     def tail_mass(self) -> float:
         if self.tail_ratio is None:
             return 0.0
         return max(0.0, 1.0 - math.fsum(self.pmf))
 
-    def prob(self, l: int) -> float:
-        """P(L = l), including the geometric tail."""
-        if l < 0:
-            return 0.0
-        if l <= self.max_finite:
-            return self.pmf[l]
-        q = self.tail_ratio
-        if q is None or self.tail_mass == 0.0:
-            return 0.0
-        k = l - self.max_finite
-        return self.tail_mass * (1.0 - q) * q ** (k - 1)
-
-    def survival(self, c: int) -> float:
-        """P(L > c); zero past the explicit pmf when there is no tail."""
-        if c < 0:
-            return 1.0
-        if c < self.max_finite:
-            return max(0.0, 1.0 - math.fsum(self.pmf[: c + 1]))
-        if self.tail_ratio is None:
-            return 0.0
-        return self.tail_mass * self.tail_ratio ** (c - self.max_finite)
-
-    def death_prob_at(self, l: int) -> float:
-        """P(death | L = l); zero for l = 0 (asymptomatic individuals)."""
-        if l <= 0:
-            return 0.0
-        dp = self.death_prob
-        if isinstance(dp, float):
-            return dp
-        if len(dp) == 0:
-            return 0.0
-        return dp[min(l, len(dp)) - 1]
+    @cached_property
+    def _survival_head(self) -> tuple[float, ...]:
+        """P(L > c) for c < L_max, from exactly rounded prefix sums: every entry
+        is an integer multiple of 1/den, so each sum is exact and s / den rounds once."""
+        ratios = [p.as_integer_ratio() for p in self.pmf[:-1]]
+        den = max([d for _, d in ratios], default=1)
+        sums = accumulate([n * (den // d) for n, d in ratios])
+        return tuple([max(0.0, 1.0 - s / den) for s in sums])
 
     def tables(self, ages: int) -> tuple[np.ndarray, np.ndarray]:
         """P(L = l) and P(death | L = l) for l = 0..ages-1, as numpy arrays.
 
-        The same values as ``prob`` and ``death_prob_at``: the explicit pmf,
-        then the geometric tail P(L = L_max + k) = tail_mass (1 - q) q^(k-1).
+        P(L = l) is the explicit pmf, then the geometric tail
+        P(L = L_max + k) = tail_mass (1 - q) q^(k-1).  P(death | L = l) is 0 at
+        l = 0 (asymptomatic individuals never die), then ``death_prob``.
         """
         pmf = np.zeros(ages)
         head = self.pmf[:ages]
@@ -171,16 +149,16 @@ class LifetimeLaw:
         return pmf, by_age.take(np.arange(ages), mode="clip")  # the last entry repeats
 
     def weighted_survival(self, scale, theta: float, ages) -> np.ndarray:
-        """Rows scale * P(L > c) e^{-theta c}, one per age c in ``ages``, for a
-        number or vector ``scale``: scale * (survival(c) * e^{-theta c}), so at
-        theta = 0 row c is scale * survival(c) bit for bit.  Where e^{-theta c}
+        """Rows scale * P(L > c) e^{-theta c}, one per age c >= 0 in ``ages``,
+        for a number or vector ``scale``: scale * (P(L > c) * e^{-theta c}), so
+        at theta = 0 row c is scale * P(L > c) bit for bit.  Where e^{-theta c}
         overflows, or lifts a P(L > c) that underflowed, the row is taken in log
         space, with log P(L > c) in closed form on the geometric tail, so an
         entry is inf only where its true value passes the double range."""
-        m, q, rem = self.max_finite, self.tail_ratio, self.tail_mass
+        m, q, rem, head = self.max_finite, self.tail_ratio, self.tail_mass, self._survival_head
         rows = []
         for c in ages:
-            f = self.survival(c)
+            f = head[c] if c < m else 0.0 if q is None else rem * q ** (c - m)
             log_f = (math.log(rem) + (c - m) * math.log(q) if q and rem and c >= m
                      else math.log(f) if f else -math.inf)
             rows.append(_times_exp(scale, f, log_f, -theta * c))
@@ -189,7 +167,7 @@ class LifetimeLaw:
     def weighted_asymptomatic(self, scale, theta: float, ages) -> np.ndarray:
         """Rows scale * P(L = 0) e^{-theta c}, one per age c in ``ages``, by
         the rule of ``weighted_survival``."""
-        p0 = self.prob(0)
+        p0 = self.pmf[0]
         log_p0 = math.log(p0) if p0 else -math.inf
         return np.array([_times_exp(scale, p0, log_p0, -theta * c) for c in ages])
 
@@ -210,7 +188,8 @@ class LifetimeLaw:
         with contextlib.suppress(OverflowError):  # fsum's, on finite terms
             if (total := math.fsum(terms)) < math.inf:
                 return total
-        raise HorizonTooLargeError(m, "the series sum_c P(L > c) e^{-theta c} passed the double range")
+        raise HorizonTooLargeError(
+            m, f"the series sum_c P(L > c) e^{{-theta c}} passed the double range at age {m}")
 
 
 def _times_exp(scale, factor: float, log_factor: float, exponent: float):
@@ -279,18 +258,6 @@ class OffspringLaw:
         table = self.means if self.kind == "poisson" else self.pmfs
         return len(next(iter(table.values())))
 
-    def mean_matrix(self, d: int) -> np.ndarray:
-        """E[z_d^{i,j}] as an (n, n) array."""
-        if self.kind == "poisson":
-            return np.array(self.means[d], dtype=float)
-        grid = self.pmfs[d]
-        n = len(grid)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = math.fsum(k * p for k, p in enumerate(grid[i][j]))
-        return out
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -309,9 +276,11 @@ class ModelSpec:
         object.__setattr__(self, "type_names", names)
         n = len(names)
         covered = self.offspring.delays_covered
-        for d in self.delay_family:
+        for d in sorted(set(covered) ^ set(self.delay_family)):  # the first mismatch
             if d not in covered:
                 raise SchemaError(f"offspring.{d}", f"no offspring law for delay {d} (key missing)")
+            table = "means" if self.offspring.kind == "poisson" else "pmfs"
+            raise SchemaError(f"offspring.{table}.{d}", f"delay {d} is not in delays")
         if self.offspring.n_types() != n:
             raise SchemaError(
                 "offspring", f"law is for {self.offspring.n_types()} types, model has {n}")
@@ -377,9 +346,9 @@ class MeanMatrixFamily:
     def __post_init__(self):
         from .spectral import is_irreducible  # deferred: spectral imports this module
 
-        delays = tuple(int(d) for d in self.delays)
-        if sorted(set(delays)) != list(delays):
-            raise ValueError("delays must be strictly increasing and unique")
+        delays = DelayFamily(self.delays).delays  # integers in [1, 2^53], no duplicate
+        if list(delays) != list(self.delays):
+            raise SchemaError("delays", f"must be strictly increasing, got {list(self.delays)}")
         mats = []
         n = None
         for d, m in zip(delays, self.matrices, strict=True):
@@ -436,10 +405,11 @@ def death_prob_by_age(lifetime: LifetimeLaw, d: int) -> float:
     dp = lifetime.death_prob
     table = 1 if isinstance(dp, float) else len(dp)
     cut = min(d, max(len(lifetime.pmf), table) + _TERMWISE_AGES)
-    terms = [lifetime.prob(l) * lifetime.death_prob_at(l) for l in range(1, cut + 1)]
+    pmf, death = lifetime.tables(cut + 1)
+    terms = (pmf[1:] * death[1:]).tolist()
     q = lifetime.tail_ratio
-    if d > cut and q:
-        terms.append(lifetime.tail_mass * lifetime.death_prob_at(d)
+    if d > cut and q:  # past the cut P(death | L = l) stays at death[cut]
+        terms.append(lifetime.tail_mass * float(death[cut])
                      * q ** (cut - lifetime.max_finite)
                      * -math.expm1((d - cut) * math.log(q)))
     return math.fsum(terms)
@@ -450,12 +420,17 @@ def censored_mean_matrices(model: ModelSpec) -> MeanMatrixFamily:
 
     Raises NonIrreducibleError when any resulting matrix is reducible.
     """
-    mats = tuple(_censored_matrix(model, d) for d in model.delay_family)
-    return MeanMatrixFamily(tuple(model.delay_family), mats)
+    mats = _censored_matrices(model)
+    return MeanMatrixFamily(tuple(mats), tuple(mats.values()))
 
 
-def _censored_matrix(model: ModelSpec, d: int) -> np.ndarray:
-    return model.offspring.mean_matrix(d) * (1.0 - death_prob_by_age(model.lifetime, d))
+def _censored_matrices(model: ModelSpec) -> dict[int, np.ndarray]:
+    """M_d by delay, with E[z_d] read from ``offspring_table``, the laws the
+    simulator draws from."""
+    table = model.offspring_table
+    means = table if model.offspring.kind == "poisson" else table @ np.arange(table.shape[-1])
+    return {d: m * (1.0 - death_prob_by_age(model.lifetime, d))
+            for d, m in zip(model.delay_family, means)}
 
 
 @dataclass(frozen=True)
@@ -487,7 +462,7 @@ def validate(model: ModelSpec) -> ValidationReport:
     from .spectral import is_irreducible, period
 
     delays = model.delay_family.delays
-    mats = {d: _censored_matrix(model, d) for d in delays}
+    mats = _censored_matrices(model)
     irreducible = [is_irreducible(m) for m in mats.values()]
     g = model.delay_family.gcd
     p = period(mats) if all(irreducible) else g
@@ -498,7 +473,7 @@ def validate(model: ModelSpec) -> ValidationReport:
     # LifetimeLaw and OffspringLaw reject an unnormalized pmf at construction
     checks.append(ValidationCheck("lifetime mass", "pass", "P(L < inf) = 1.0"))
 
-    p_pos = model.lifetime.survival(0)
+    p_pos = float(model.lifetime.weighted_survival(1.0, 0.0, (0,))[0])
     checks.append(ValidationCheck(
         "nontrivial lifetime", "pass" if p_pos > 0 else "warn",
         f"P(L > 0) = {p_pos!r}"))

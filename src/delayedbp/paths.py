@@ -374,7 +374,7 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
         scale = math.exp(mal.theta * s)
     except OverflowError:
         raise HorizonTooLargeError(s, f"kernel scale exp(theta*s) = exp({mal.theta * s!r}) "
-                                      "leaves the double range") from None
+                                      f"leaves the double range at time {s}") from None
     n = family.n_types
     if s == 0:
         return SamplingEstimate(np.eye(n), np.zeros((n, n)), n_samples)

@@ -162,7 +162,7 @@ def theorem_limits(model, family, mal: MalthusianSolution, horizon: int = 400) -
     series = lt.weighted_survival_series(theta)
     limit_x = g * nu
     limit_z = g * series * nu
-    limit_y = g * lt.prob(0) * window * nu
+    limit_y = g * lt.pmf[0] * window * nu
 
     age_w = lt.weighted_survival(1.0, theta, family.delays)
     age_limit = age_w / age_w.sum() if age_w.sum() > 0 else None
@@ -189,7 +189,8 @@ def _window(theta: float, D: int) -> float:
                          * math.expm1(-theta * r) / math.expm1(-theta))
         if (total := math.fsum(terms)) < math.inf:
             return total
-    raise HorizonTooLargeError(D, "the Y window sum_{c<=D} e^{-theta c} passed the double range")
+    raise HorizonTooLargeError(
+        D, f"the Y window sum_{{c<=D}} e^{{-theta c}} passed the double range at lag {D}")
 
 
 def age_distribution(model, family, s: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .errors import AllTruncatedError, SchemaError
+from .errors import AllTruncatedError, HorizonTooLargeError, SchemaError
 
 DEFAULT_POP_CAP = 10 ** 6
 
@@ -158,7 +158,11 @@ def simulate_block(model, horizon: int, seed, rows: int,
                     alive = alive - dead[..., [d - 1 for d in delays[:m]]].transpose(0, 2, 1)
                 if total > pop_cap:  # truncated rows produce no more offspring
                     alive = alive * (x.sum(axis=(1, 2)) <= pop_cap)[:, None, None]
-                born = _draw_births(rng, kind, law[:m], alive)
+                try:
+                    born = _draw_births(rng, kind, law[:m], alive)
+                except ValueError as exc:  # numpy's, e.g. a Poisson mean past its range
+                    raise HorizonTooLargeError(t, f"the offspring draw at time {t} "
+                                                  f"was refused: {exc}") from None
                 for j, d in enumerate(delays[:m]):
                     x[:, t + d] += born[:, j]
                 total += int(born.sum())

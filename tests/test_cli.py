@@ -38,7 +38,7 @@ class TestParseConfig:
         model = parse_config(json.dumps(FIB_CONFIG))
         assert model.type_names == ("a",)
         assert model.delay_family.delays == (1, 2)
-        assert model.lifetime.prob(3) == 1.0
+        assert model.lifetime.tables(4)[0][3] == 1.0
 
     def test_duplicate_delay(self):
         doc = dict(FIB_CONFIG, delays=[2, 2])
@@ -214,6 +214,7 @@ class TestDispatch:
         assert dispatch(["limits", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:HorizonTooLargeError:")
+        assert err.endswith(" passed the double range at age 49\n")  # L_max, not a time
         assert "Traceback" not in err
 
     def test_malthusian_root_far_from_one(self, tmp_path, capsys):
@@ -457,6 +458,20 @@ class TestDispatch:
         assert dispatch(["simulate", "--config", str(path), "--horizon", "10",
                          "--replicas", "10000", "--seed", "5", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 12
+
+    def test_simulate_poisson_mean_past_the_draw_range_is_typed(self, tmp_path, capsys):
+        # numpy refuses a Poisson mean of 1e308; the error names the time step
+        doc = {"types": ["a", "b"], "delays": [1],
+               "offspring": {"kind": "poisson", "means": {"1": [[0.0, 1e308], [1e-320, 0.0]]}},
+               "lifetime": {"pmf": [0.0, 1.0]}, "initial": 0}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["simulate", "--config", str(path), "--horizon", "5",
+                         "--replicas", "3", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:HorizonTooLargeError: the offspring draw at time 0 "
+                              "was refused: "), err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("change,field", [
         ({"lifetime": [0.0, 1.0]}, "lifetime"),

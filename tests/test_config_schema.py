@@ -127,6 +127,9 @@ VALIDATE = [
     (edit(FIB, initial=[1, 2]), "SchemaError", "initial"),
     (edit(FIB, initial=["x"]), "SchemaError", "initial"),
     (edit(FIB, initial=[-1]), "NegativeEntryError", "initial"),
+    # an offspring law at a delay not in `delays`
+    (edit(FIB, offspring__means__3=[[5.0]]), "SchemaError", "offspring.means.3"),
+    (edit(PMF, offspring__pmfs__3=[[[1.0]]]), "SchemaError", "offspring.pmfs.3"),
 ]
 
 GENERATE = [

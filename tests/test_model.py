@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -62,23 +63,23 @@ class TestDelayFamily:
 class TestLifetimeLaw:
     def test_survival_finite(self):
         lt = LifetimeLaw(pmf=(0.2, 0.3, 0.5))
-        assert lt.survival(-1) == 1.0
-        assert lt.survival(0) == pytest.approx(0.8, abs=1e-15)
-        assert lt.survival(1) == pytest.approx(0.5, abs=1e-15)
-        assert lt.survival(2) == 0.0
-        assert lt.survival(10) == 0.0
+        s0, s1, s2, s10 = lt.weighted_survival(1.0, 0.0, (0, 1, 2, 10))
+        assert s0 == pytest.approx(0.8, abs=1e-15)
+        assert s1 == pytest.approx(0.5, abs=1e-15)
+        assert s2 == 0.0
+        assert s10 == 0.0
 
     def test_geometric_tail(self):
         # half the mass at 0, the rest geometric with ratio 1/2 beyond 0
         lt = LifetimeLaw(pmf=(0.5,), tail_ratio=0.5)
-        for c in range(6):
-            assert lt.survival(c) == pytest.approx(0.5 ** (c + 1), rel=1e-14)
-        assert lt.prob(3) == pytest.approx(0.5 * 0.25 * 0.5, rel=1e-14)
+        for c, f in enumerate(lt.weighted_survival(1.0, 0.0, range(6))):
+            assert f == pytest.approx(0.5 ** (c + 1), rel=1e-14)
+        assert lt.tables(4)[0][3] == pytest.approx(0.5 * 0.25 * 0.5, rel=1e-14)
         assert lt.weighted_survival_series(0.0) == pytest.approx(1.0, rel=1e-14)  # E[L]
 
     def test_series_at_zero_theta_is_mean(self):
         lt = LifetimeLaw(pmf=(0.1, 0.2, 0.3), tail_ratio=0.25)
-        mean = math.fsum(l * lt.prob(l) for l in range(400))
+        mean = math.fsum((np.arange(400) * lt.tables(400)[0]).tolist())
         assert lt.weighted_survival_series(0.0) == pytest.approx(mean, rel=1e-13)
 
     def test_series_divergence(self):
@@ -89,21 +90,24 @@ class TestLifetimeLaw:
     def test_series_past_double_range_is_typed(self):
         # e^{-theta c} with theta = log 1e-8 overflowed w ** c for c >= 39
         lt = LifetimeLaw(pmf=(0.02,) * 50)
-        with pytest.raises(HorizonTooLargeError):
+        with pytest.raises(HorizonTooLargeError) as info:
             lt.weighted_survival_series(math.log(1e-8))
+        assert str(info.value) == ("the series sum_c P(L > c) e^{-theta c} passed the double "
+                                   "range at age 49")
+        surv = lt.weighted_survival(1.0, 0.0, range(49))
         assert lt.weighted_survival_series(math.log(1e-6)) == pytest.approx(
-            math.fsum(lt.survival(c) * 1e6 ** c for c in range(49)), rel=1e-13)
+            math.fsum(f * 1e6 ** c for c, f in enumerate(surv)), rel=1e-13)
 
     def test_death_prob_zero_for_asymptomatic(self):
-        lt = LifetimeLaw(pmf=(0.5, 0.5), death_prob=0.7)
-        assert lt.death_prob_at(0) == 0.0
-        assert lt.death_prob_at(1) == 0.7
+        _, death = LifetimeLaw(pmf=(0.5, 0.5), death_prob=0.7).tables(2)
+        assert death[0] == 0.0
+        assert death[1] == 0.7
 
     def test_death_prob_list_extends(self):
-        lt = LifetimeLaw(pmf=(0.0, 0.5, 0.5), death_prob=(0.1, 0.4))
-        assert lt.death_prob_at(1) == 0.1
-        assert lt.death_prob_at(2) == 0.4
-        assert lt.death_prob_at(9) == 0.4
+        _, death = LifetimeLaw(pmf=(0.0, 0.5, 0.5), death_prob=(0.1, 0.4)).tables(10)
+        assert death[1] == 0.1
+        assert death[2] == 0.4
+        assert death[9] == 0.4
 
     def test_unnormalized_rejected(self):
         with pytest.raises(SchemaError) as exc:
@@ -112,7 +116,7 @@ class TestLifetimeLaw:
 
     def test_near_normalized_has_no_mass_past_pmf(self):
         lt = LifetimeLaw(pmf=(0.5, 0.4999999999999))
-        assert [lt.survival(c) for c in (1, 2, 50)] == [0.0, 0.0, 0.0]
+        assert lt.weighted_survival(1.0, 0.0, (1, 2, 50)).tolist() == [0.0, 0.0, 0.0]
         assert lt.weighted_survival_series(0.0) == pytest.approx(0.5, rel=1e-12)  # E[L]
         assert lt.weighted_survival_series(-5.0) == 0.5  # only P(L > 0) at c = 0
 
@@ -160,7 +164,8 @@ class TestDeathProbByAge:
 
     @staticmethod
     def _termwise(lt, d):
-        return math.fsum(lt.prob(l) * lt.death_prob_at(l) for l in range(1, d + 1))
+        pmf, death = lt.tables(d + 1)
+        return math.fsum((pmf[1:] * death[1:]).tolist())
 
     def test_closed_form_tail_matches_termwise_sum(self):
         rng = np.random.default_rng(11)
@@ -206,22 +211,56 @@ _LIFETIMES = [
 class TestLifetimeTables:
     @pytest.mark.parametrize("pmf,tail,dp", _LIFETIMES)
     def test_tables_match_per_age_calls(self, pmf, tail, dp):
+        # per age: the explicit pmf, then tail_mass (1 - q) q^(k-1) at L_max + k;
+        # no death at l = 0, the death table's last entry repeats
         lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+        m, dps = len(pmf) - 1, (dp,) if isinstance(dp, float) else dp
         for ages in (1, 2, 3, 40):
             p, death = lt.tables(ages)
             assert p.shape == death.shape == (ages,)
             for l in range(ages):
-                assert p[l] == pytest.approx(lt.prob(l), rel=1e-14, abs=0.0)
-                assert death[l] == lt.death_prob_at(l)
+                prob = (pmf[l] if l <= m else 0.0 if tail is None
+                        else lt.tail_mass * (1.0 - tail) * tail ** (l - m - 1))
+                assert p[l] == pytest.approx(prob, rel=1e-14, abs=0.0)
+                assert death[l] == (dps[min(l, len(dps)) - 1] if l and dps else 0.0)
 
     @pytest.mark.parametrize("pmf,tail,dp", _LIFETIMES)
     def test_unweighted_rows_are_survival(self, pmf, tail, dp):
         lt = LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=dp)
+        # P(L > c): 1 - (the exactly rounded prefix sum) on the explicit pmf,
+        # tail_mass q^(c - L_max) from L_max on
+        m = len(pmf) - 1
+        surv = [max(0.0, 1.0 - math.fsum(pmf[:c + 1])) if c < m
+                else 0.0 if tail is None else lt.tail_mass * tail ** (c - m) for c in range(41)]
         rows = lt.weighted_survival(1.0, 0.0, range(41))
-        assert [float(r) for r in rows] == [lt.survival(c) for c in range(41)]
+        assert [float(r) for r in rows] == surv
         x0 = np.array([0.0, 0.3, 7.0])
-        assert np.array_equal(lt.weighted_survival(x0, 0.0, range(41)),
-                              [x0 * lt.survival(c) for c in range(41)])
+        assert np.array_equal(lt.weighted_survival(x0, 0.0, range(41)), [x0 * f for f in surv])
+
+    def test_zero_tail_ratio_keeps_its_point_mass(self):
+        # tail_ratio 0 puts all of the missing mass on L_max + 1
+        lt = LifetimeLaw(pmf=(0.5,), tail_ratio=0.0, death_prob=1.0)
+        assert lt.tables(3)[0].tolist() == [0.5, 0.5, 0.0]
+        assert lt.weighted_survival(1.0, 0.0, range(3)).tolist() == [0.5, 0.0, 0.0]
+        assert death_prob_by_age(lt, 1) == death_prob_by_age(lt, 100) == 0.5
+        assert lt.weighted_survival_series(0.0) == 0.5  # E[L]
+
+    def test_survival_head_is_summed_once(self, monkeypatch):
+        # P(L > c) for c < L_max comes from prefix sums taken once per law, so
+        # rows over S ages cost O(L_max + S), not O(L_max * S)
+        import delayedbp.model as model_mod
+        sums = []
+
+        def counted(values):
+            sums.append(1)
+            return accumulate(values)
+
+        monkeypatch.setattr(model_mod, "accumulate", counted)
+        lt = LifetimeLaw(pmf=(1 / 2000,) * 2000)
+        for theta in (0.0, 0.01, -0.01):
+            lt.weighted_survival(1.0, theta, range(2001))
+        lt.weighted_survival_series(0.0)
+        assert len(sums) == 1
 
     def test_weighted_rows_overflow_only_past_double_range(self):
         # theta = log 0.1: P(L > c) e^{-theta c} = 0.5 * 0.9^(c-1) * 10^c
@@ -242,7 +281,7 @@ class TestLifetimeTables:
         # it back into range, alone (theta = log 1e-3) or while it overflows
         # itself (theta = log 1e-5)
         lt = LifetimeLaw(pmf=(0.5,), tail_ratio=1e-5)
-        assert lt.survival(70) == lt.survival(100) == 0.0
+        assert lt.weighted_survival(1.0, 0.0, (70, 100)).tolist() == [0.0, 0.0]
         assert lt.weighted_survival(1.0, math.log(1e-3), (70,))[0] == pytest.approx(
             0.5e-140, rel=1e-12)
         assert lt.weighted_survival(1.0, math.log(1e-5), (100,))[0] == pytest.approx(
@@ -303,7 +342,9 @@ class TestCensoredMeans:
 
     def test_pmf_offspring_means(self):
         off = OffspringLaw(kind="pmf", pmfs={1: [[(0.25, 0.5, 0.25)]]})
-        assert off.mean_matrix(1)[0, 0] == pytest.approx(1.0, abs=1e-15)
+        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)), offspring=off,
+                          lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        assert censored_mean_matrices(model).matrix(1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_pmf_entry_above_one_rejected(self):
         # (1e308, 1e308) would overflow math.fsum before the normalization check
@@ -323,6 +364,15 @@ class TestMeanMatrixFamily:
     def test_immutability(self, fib_family):
         with pytest.raises(ValueError):
             fib_family.matrices[0][0, 0] = 9.0
+
+    @pytest.mark.parametrize("delays", [(0, 1), (-1, 1), (1, 10 ** 30), (2, 1), (1, 1.5)])
+    def test_delay_rule_of_delay_family(self, delays):
+        # integers in [1, 2^53], strictly increasing; the first three were
+        # accepted, and then divided by zero, gave a meaningless root, or
+        # passed the cap of e^{-theta d}
+        with pytest.raises(SchemaError) as exc:
+            MeanMatrixFamily(delays, (np.array([[0.5]]),) * 2)
+        assert exc.value.field == "delays"
 
 
 class TestModelSpec:

@@ -63,10 +63,11 @@ class TestEvolveMeans:
         sol = solve_malthusian(fam)
         traj = evolve_means(model, fam, 80, sol)
         lt, x0, theta = model.lifetime, model.initial_mean_vector(), sol.theta
+        surv = lt.weighted_survival(1.0, 0.0, range(81))
         sources = {
             "x": lambda s: x0 * (s == 0),
-            "z": lambda s: x0 * lt.survival(s),
-            "y": lambda s: x0 * lt.prob(0) * (s <= fam.max_delay),
+            "z": lambda s: x0 * surv[s],
+            "y": lambda s: x0 * lt.pmf[0] * (s <= fam.max_delay),
         }
         for name, src in sources.items():
             for weighted in (False, True):
@@ -86,8 +87,9 @@ class TestEvolveMeans:
         fam = random_positive_family(rng, 2, (1, 2))
         model = poisson_model_from_family(fam, lt)
         traj = evolve_means(model, fam, 25)
+        surv = lt.weighted_survival(1.0, 0.0, range(26))
         for s in range(26):
-            conv = sum(traj.ex[s - c] * lt.survival(c) for c in range(s + 1))
+            conv = sum(traj.ex[s - c] * surv[c] for c in range(s + 1))
             assert traj.ez[s] == pytest.approx(conv, rel=1e-12, abs=1e-14)
 
     def test_y_is_windowed_incidence(self):
@@ -99,7 +101,7 @@ class TestEvolveMeans:
         traj = evolve_means(model, fam, 25)
         for s in range(26):
             window = sum(traj.ex[s - c] for c in range(min(s, D) + 1))
-            assert traj.ey[s] == pytest.approx(lt.prob(0) * window, rel=1e-12, abs=1e-14)
+            assert traj.ey[s] == pytest.approx(lt.pmf[0] * window, rel=1e-12, abs=1e-14)
 
     def test_weighted_matches_rescaled(self, fib_model, fib_family):
         sol = solve_malthusian(fib_family)
@@ -154,10 +156,9 @@ class TestEvolveMeans:
             raw = np.zeros((horizon + 1, 3, n))
             wtd = np.zeros_like(raw)
             raw[0, 0] = wtd[0, 0] = x0
-            for s in range(horizon + 1):
-                raw[s, 1] = x0 * lt.survival(s)
+            raw[:, 1] = lt.weighted_survival(x0, 0.0, range(horizon + 1))
             for s in window:
-                raw[s, 2] = x0 * lt.prob(0)
+                raw[s, 2] = x0 * lt.pmf[0]
             wtd[:, 1] = lt.weighted_survival(x0, theta, range(horizon + 1))
             wtd[:len(window), 2] = lt.weighted_asymptomatic(x0, theta, window)
             _renew_rows(list(fam.items()), raw)
@@ -189,6 +190,7 @@ class TestEvolveMeans:
         with pytest.raises(HorizonTooLargeError) as info:
             evolve_means(model, fam, 350)
         assert info.value.s == 300
+        assert str(info.value) == "mean trajectory exceeded 1e300 at time 300"
 
     @staticmethod
     def _growing_tail_model(initial):
@@ -353,8 +355,11 @@ class TestTheoremLimits:
         # e^{-theta D} / |theta| with theta = -7e-4, passes the double range
         fam = MeanMatrixFamily((1, 10 ** 6), (np.array([[0.5]]), np.array([[1e-307]])))
         model = poisson_model_from_family(fam, LifetimeLaw(pmf=(0.5, 0.5)))
-        with pytest.raises(HorizonTooLargeError, match="Y window"):
+        with pytest.raises(HorizonTooLargeError) as info:
             theorem_limits(model, fam, solve_malthusian(fam), horizon=5)
+        assert info.value.s == 10 ** 6
+        assert str(info.value) == ("the Y window sum_{c<=D} e^{-theta c} passed the double "
+                                   "range at lag 1000000")
 
     def test_weighted_gap_shrinks(self):
         rng = np.random.default_rng(107)
