@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -69,12 +70,23 @@ def _object(value, fields, required=(), path=""):
     return value
 
 
+def _read(path: str) -> str:
+    """The text of the file at ``path``, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError("<document>", f"not UTF-8 text: {exc}") from None
+
+
 def _load_object(text: str, fields, required=()) -> dict:
     """Decode a JSON document whose top level is an object over ``fields``."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("<document>", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("<document>", "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
+        raise SchemaError("<document>", f"invalid JSON: {exc}") from None
     return _object(doc, fields, required)
 
 
@@ -228,12 +240,6 @@ def _output(out: str | None):
             yield fh
 
 
-def _write(text: str, out: str | None):
-    text += "" if text.endswith("\n") else "\n"
-    with _output(out) as fh:
-        fh.write(text)
-
-
 _CSV_CHUNK = 1024  # rows built and written at a time: cache-sized numpy work
 
 
@@ -262,31 +268,23 @@ def _write_csv(out: str | None, header, types, parts):
                 fh.write(csvrows.rows(keys + cells))
 
 
-def _load_model(path: str) -> ModelSpec:
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the loaded input and the options, and returns its
+# JSON document (None when it writes its own CSV)
 
 
-def _cmd_validate(args) -> int:
-    model = _load_model(args.config)
+def _cmd_validate(model, args) -> dict:
     report = validate(model)
-    doc = {"ok": report.ok,
-           "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
-                      for c in report.checks]}
-    _write(emit_json(doc), args.out)
-    return 0
+    return {"ok": report.ok,
+            "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
+                       for c in report.checks]}
 
 
-def _cmd_spectral(args) -> int:
-    model = _load_model(args.config)
+def _cmd_spectral(model, args) -> dict:
     family = censored_mean_matrices(model)
     shared = spec_mod.shared_pf_check(family)
     pf = shared.pf
-    doc = {
+    return {
         "per_delay": {
             str(d): {"rho": pf[d].rho, "h": pf[d].h, "nu": pf[d].nu,
                      "residual_right": pf[d].residual_right,
@@ -300,15 +298,11 @@ def _cmd_spectral(args) -> int:
         },
         "commute": spec_mod.commute_check(family),
     }
-    _write(emit_json(doc), args.out)
-    return 0
 
 
-def _cmd_malthusian(args) -> int:
-    model = _load_model(args.config)
-    family = censored_mean_matrices(model)
-    sol = mal_mod.solve_malthusian(family)
-    doc = {
+def _cmd_malthusian(model, args) -> dict:
+    sol = mal_mod.solve_malthusian(censored_mean_matrices(model))
+    return {
         "rho_hat": sol.rho_hat,
         "theta": sol.theta,
         "beta": {str(d): b for d, b in sol.beta.items()},
@@ -317,43 +311,27 @@ def _cmd_malthusian(args) -> int:
         "companion_residual": sol.companion_residual,
         "warnings": list(sol.warnings),
     }
-    _write(emit_json(doc), args.out)
-    return 0
 
 
-def _cmd_evolve(args) -> int:
-    model = _load_model(args.config)
-    family = censored_mean_matrices(model)
-    traj = rec_mod.evolve_means(model, family, args.horizon)
+def _cmd_evolve(model, args) -> None:
+    traj = rec_mod.evolve_means(model, censored_mean_matrices(model), args.horizon)
     _write_csv(args.out, ("s", "type", "ex", "ez", "ey", "wx", "wz", "wy"), model.type_names,
                [(0, [traj.ex, traj.ez, traj.ey, traj.wx, traj.wz, traj.wy])])
-    return 0
 
 
-def _cmd_limits(args) -> int:
-    model = _load_model(args.config)
+def _cmd_limits(model, args) -> dict:
     family = censored_mean_matrices(model)
     sol = mal_mod.solve_malthusian(family)
     rep = rec_mod.theorem_limits(model, family, sol, horizon=args.horizon)
-    doc = {
-        "limit_x": rep.limit_x,
-        "limit_z": rep.limit_z,
-        "limit_y": rep.limit_y,
-        "type_limit": rep.type_limit,
-        "age_limit": rep.age_limit,
-        "empirical_gap": rep.empirical_gap,
-        "horizon": rep.horizon,
-    }
-    _write(emit_json(doc), args.out)
-    return 0
+    return {key: getattr(rep, key) for key in ("limit_x", "limit_z", "limit_y", "type_limit",
+                                               "age_limit", "empirical_gap", "horizon")}
 
 
 def _fraction(f) -> dict:
     return {"numerator": f.numerator, "denominator": f.denominator, "value": float(f)}
 
 
-def _cmd_paths(args) -> int:
-    model = _load_model(args.config)
+def _cmd_paths(model, args) -> dict:
     family = censored_mean_matrices(model)
     delays = family.delays
     if args.upsilon is not None:
@@ -396,12 +374,10 @@ def _cmd_paths(args) -> int:
         doc["kernel_estimate"] = {"estimate": est.estimate, "stderr": est.stderr,
                                   "n_samples": est.n_samples}
         doc["kernel_exact"] = rec_mod.xi_kernel(family, args.s)
-    _write(emit_json(doc), args.out)
-    return 0
+    return doc
 
 
-def _cmd_simulate(args) -> int:
-    model = _load_model(args.config)
+def _cmd_simulate(model, args) -> None:
     blocks = sim_mod.replica_blocks(model, args.horizon, args.replicas, args.seed,
                                     pop_cap=args.pop_cap)
     if args.dump is not None:
@@ -415,23 +391,16 @@ def _cmd_simulate(args) -> int:
                model.type_names, [(0, [stats.mean_x, stats.se_x, stats.mean_z, stats.se_z,
                                        stats.mean_y, stats.se_y])])
     if args.dump is not None:
+        # row k of the dump is replica k
+        firsts = itertools.accumulate((len(b.counts) for b in blocks), initial=0)
         _write_csv(args.dump, ("replica", "s", "type", "x", "z", "y"), model.type_names,
-                   _dump_parts(blocks))
-    return 0
+                   ((k, [b.x, b.z, b.y]) for k, b in zip(firsts, blocks)))
 
 
-def _dump_parts(blocks):
-    """(first, counts) per block for ``--dump``: row k of the dump is replica k."""
-    k = 0
-    for block in blocks:
-        yield k, [block.x, block.z, block.y]
-        k += len(block.counts)
+_GENERATE_FIELDS = {"P", "h", "nu", "rhos", "types", "lifetime", "initial"}  # of its --input
 
 
-def _cmd_generate(args) -> int:
-    with open(args.input) as fh:
-        doc = _load_object(fh.read(), {"P", "h", "nu", "rhos", "types", "lifetime", "initial"},
-                           ("P", "rhos"))
+def _cmd_generate(doc, args) -> dict:
     _require(("h" in doc) != ("nu" in doc), "h",
              "exactly one of 'h' (forward) or 'nu' (time-reversed) is required")
     _require(isinstance(doc["P"], list) and doc["P"], "P", "must be a square matrix")
@@ -457,14 +426,14 @@ def _cmd_generate(args) -> int:
         keep = 1.0 - death_prob_by_age(lifetime, d)
         _require(keep > 0, f"rhos.{d}",
                  "death censoring removes all reproduction at this delay")
-        means[d] = family.matrix(d) / keep
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            means[d] = family.matrix(d) / keep
+        _require(np.isfinite(means[d]).all(), f"rhos.{d}",
+                 "the raw means that death censoring needs pass the double range")
     model = ModelSpec(type_names=tuple(types), delay_family=DelayFamily(family.delays),
                       offspring=OffspringLaw(kind="poisson", means=means),
                       lifetime=lifetime, initial=_parse_initial(doc.get("initial", 0)))
-    text = emit_json(model_to_config(model))
-    parse_config(text)  # what is written must load
-    _write(text, args.out)
-    return 0
+    return model_to_config(model)
 
 
 def _at_least(low):
@@ -485,31 +454,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Delayed multi-type branching process toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, summary, source="--config"):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument(source, required=True)
         return p
 
-    p = add("validate", _cmd_validate, help="check model assumptions")
-    p.add_argument("--config", required=True)
+    add("validate", _cmd_validate, "check model assumptions")
+    add("spectral", _cmd_spectral, "P-F data per delay and sharing check")
+    add("malthusian", _cmd_malthusian, "growth rate and step distribution")
 
-    p = add("spectral", _cmd_spectral, help="P-F data per delay and sharing check")
-    p.add_argument("--config", required=True)
-
-    p = add("malthusian", _cmd_malthusian, help="growth rate and step distribution")
-    p.add_argument("--config", required=True)
-
-    p = add("evolve", _cmd_evolve, help="mean trajectories as CSV")
-    p.add_argument("--config", required=True)
+    p = add("evolve", _cmd_evolve, "mean trajectories as CSV")
     p.add_argument("--horizon", type=_at_least(0), required=True)
 
-    p = add("limits", _cmd_limits, help="closed-form limits of the weighted means")
-    p.add_argument("--config", required=True)
+    p = add("limits", _cmd_limits, "closed-form limits of the weighted means")
     p.add_argument("--horizon", type=_at_least(0), default=400)
 
-    p = add("paths", _cmd_paths, help="path classes, run fractions, kernel estimates")
-    p.add_argument("--config", required=True)
+    p = add("paths", _cmd_paths, "path classes, run fractions, kernel estimates")
     p.add_argument("--s", type=_at_least(0), required=True)
     p.add_argument("--r", type=_at_least(0), default=None)
     p.add_argument("--kappa", type=_at_least(2), default=None)
@@ -519,35 +481,48 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_at_least(1), default=None)
     p.add_argument("--seed", type=_at_least(0), default=None)
 
-    p = add("simulate", _cmd_simulate, help="Monte Carlo ensemble as CSV")
-    p.add_argument("--config", required=True)
+    p = add("simulate", _cmd_simulate, "Monte Carlo ensemble as CSV")
     p.add_argument("--horizon", type=_at_least(0), required=True)
     p.add_argument("--replicas", type=_at_least(1), required=True)
     p.add_argument("--seed", type=_at_least(0), required=True)
     p.add_argument("--pop-cap", type=_at_least(1), default=sim_mod.DEFAULT_POP_CAP)
     p.add_argument("--dump", default=None, help="per-replica CSV path")
 
-    p = add("generate", _cmd_generate,
-            help="build a model config whose mean matrices share P-F eigenvectors")
-    p.add_argument("--input", required=True)
-
+    add("generate", _cmd_generate,
+        "build a model config whose mean matrices share P-F eigenvectors", "--input")
     return parser
 
 
 def dispatch(argv) -> int:
+    """Run one command line and return its exit code.  The one place that
+    loads the input (``--config``, or ``generate``'s ``--input``), writes the
+    subcommand's JSON document to ``--out`` or stdout, and turns an error into
+    exit 1 with one ``error:<type>: <message>`` line on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    generate = args.command == "generate"
     try:
         try:
-            return args.fn(args)
+            source = _read(args.input if generate else args.config)
+            # rebound to its decoding, so the text is not held while the command runs
+            source = (_load_object(source, _GENERATE_FIELDS, ("P", "rhos")) if generate
+                      else parse_config(source))
+            doc = args.fn(source, args)
+            if doc is not None:
+                text = emit_json(doc)
+                if generate:
+                    parse_config(text)  # what is written must load
+                with _output(args.out) as fh:
+                    fh.write(text + "\n")
         except MemoryError as exc:
             raise OutOfMemoryError(str(exc) or "out of memory") from None
     except (DelayedBPError, ValueError, OSError) as exc:
         sys.stderr.write(f"error:{type(exc).__name__}: {exc}\n")
         return 1
+    return 0
 
 
 def main() -> None:

@@ -25,6 +25,7 @@ from .errors import (DuplicateDelayError, HorizonTooLargeError, NegativeEntryErr
 
 _NORM_TOL = 1e-12
 MAX_DELAY = 2 ** 53  # weights e^{-theta d} take d as a double, exact up to 2^53
+_CSV_BREAKS = frozenset(',"\r\n')  # characters a type name must not hold
 
 
 def _check_unit(field, values):
@@ -273,6 +274,12 @@ class ModelSpec:
         names = tuple(str(t) for t in self.type_names)
         if len(names) == 0:
             raise SchemaError("types", "at least one type is required")
+        for name in names:  # each name is one CSV cell, told apart from the others
+            if not _CSV_BREAKS.isdisjoint(name):
+                raise SchemaError("types", f"name {name!r} holds a comma, quote, CR or LF")
+        if len(set(names)) < len(names):
+            twice = next(t for i, t in enumerate(names) if t in names[:i])
+            raise SchemaError("types", f"name {twice!r} is given twice")
         object.__setattr__(self, "type_names", names)
         n = len(names)
         covered = self.offspring.delays_covered

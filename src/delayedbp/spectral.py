@@ -287,6 +287,7 @@ def construct_shared_family_reversed(p: np.ndarray, nu: np.ndarray, rhos: dict[i
     return _shared_family(p, nu, "nu", rhos, reverse=True)
 
 
+@np.errstate(over="ignore", under="ignore")  # a value past the double range is refused
 def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     """M_d = rho_d * P * vec(i)/vec(j), or rho_d * vec(j)/vec(i) * P' reversed."""
     from .model import MeanMatrixFamily
@@ -295,17 +296,20 @@ def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     vec = np.asarray(vec, dtype=float)
     if np.any(vec <= 0):
         raise SchemaError(name, "must be strictly positive")
-    if reverse:
-        left, right = vec[None, :] / vec[:, None], p.T
-    else:
-        left, right = p, vec[:, None] / vec[None, :]
+    ratio = vec[None, :] / vec[:, None] if reverse else vec[:, None] / vec[None, :]
+    if not np.all((ratio > 0) & (ratio < np.inf)):
+        raise SchemaError(name, "the ratios of its entries pass the double range")
+    left, right, positive = (ratio, p.T, p.T > 0) if reverse else (p, ratio, p > 0)
     delays = tuple(sorted(int(d) for d in rhos))
     mats = []
     for d in delays:
         r = float(rhos[d])
         if r <= 0:
             raise SchemaError(f"rhos.{d}", f"eigenvalue must be positive, got {r}")
-        mats.append(r * left * right)
+        m = r * left * right
+        if np.isinf(m).any() or not m[positive].all():  # inf, or 0 where P is positive
+            raise SchemaError(f"rhos.{d}", "an entry of this member passes the double range")
+        mats.append(m)
     return MeanMatrixFamily(delays, tuple(mats))
 
 

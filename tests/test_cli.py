@@ -1013,3 +1013,42 @@ def test_import_loads_no_optional_module():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_PATHS_BASE = ["s", "classes"]
+_DOCUMENT_KEYS = [
+    (["validate"], ["ok", "checks"]),
+    (["spectral"], ["per_delay", "shared", "commute"]),
+    (["malthusian"], ["rho_hat", "theta", "beta", "mu_beta", "regime", "companion_residual",
+                      "warnings"]),
+    (["limits"], ["limit_x", "limit_z", "limit_y", "type_limit", "age_limit",
+                  "empirical_gap", "horizon"]),
+    (["paths", "--s", "4"], _PATHS_BASE),
+    (["paths", "--s", "4", "--kappa", "2"], _PATHS_BASE + ["run_fraction"]),
+    (["paths", "--s", "4", "--upsilon", "1", "--alpha", "0.1", "--delta", "0.1"],
+     _PATHS_BASE + ["block_run"]),
+    (["paths", "--s", "4", "--samples", "10", "--seed", "1"],
+     _PATHS_BASE + ["kernel_estimate", "kernel_exact"]),
+    (["paths", "--s", "4", "--kappa", "2", "--upsilon", "1", "--alpha", "0.1", "--delta", "0.1",
+      "--samples", "10", "--seed", "1"],
+     _PATHS_BASE + ["run_fraction", "block_run", "kernel_estimate", "kernel_exact"]),
+    (["generate"], ["types", "delays", "offspring", "lifetime", "initial"]),
+]
+
+
+@pytest.mark.parametrize("argv,keys", _DOCUMENT_KEYS,
+                         ids=[" ".join(argv) for argv, _ in _DOCUMENT_KEYS])
+def test_document_keys_are_pinned(argv, keys, tmp_path, capsys):
+    # every JSON document keeps its top-level keys, in order: a field added to
+    # a result type must not reach the default output
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_GENERATE_DOC if argv[0] == "generate" else FIB_CONFIG))
+    flag = "--input" if argv[0] == "generate" else "--config"
+    assert dispatch([argv[0], flag, str(path), *argv[1:]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == keys
+    if argv[0] == "spectral":
+        assert list(doc["per_delay"]) == ["1", "2"]
+        for entry in doc["per_delay"].values():
+            assert list(entry) == ["rho", "h", "nu", "residual_right", "residual_left"]
+        assert list(doc["shared"]) == ["shared", "max_deviation", "tolerance", "h", "nu"]

@@ -25,6 +25,8 @@ FIB = {
 }
 PMF = dict(FIB, offspring={"kind": "pmf",
                            "pmfs": {"1": [[[0.5, 0.5]]], "2": [[[0.0, 1.0]]]}})
+TWO = dict(FIB, types=["a", "b"], offspring={"kind": "poisson", "means": {
+    "1": [[1.0, 1.0], [1.0, 1.0]], "2": [[1.0, 1.0], [1.0, 1.0]]}})
 GEN = {"P": [[0.5, 0.5], [0.5, 0.5]], "h": [2.0, 1.0], "rhos": {"1": 0.4, "2": 0.5}}
 DROP = object()
 
@@ -130,6 +132,12 @@ VALIDATE = [
     # an offspring law at a delay not in `delays`
     (edit(FIB, offspring__means__3=[[5.0]]), "SchemaError", "offspring.means.3"),
     (edit(PMF, offspring__pmfs__3=[[[1.0]]]), "SchemaError", "offspring.pmfs.3"),
+    # a type name is one CSV cell, told apart from the others
+    (edit(FIB, types=["a,b"]), "SchemaError", "types"),
+    (edit(FIB, types=['a"b']), "SchemaError", "types"),
+    (edit(FIB, types=["x\ny"]), "SchemaError", "types"),
+    (edit(FIB, types=["x\ry"]), "SchemaError", "types"),
+    (edit(TWO, types=["a", "a"]), "SchemaError", "types"),
 ]
 
 GENERATE = [
@@ -169,6 +177,17 @@ GENERATE = [
     (edit(GEN, initial="x"), "SchemaError", "initial"),
     (edit(GEN, initial=[1.0]), "SchemaError", "initial"),
     (edit(GEN, initial=[1.0, -1.0]), "NegativeEntryError", "initial"),
+    (edit(GEN, types=["a,b", "c"]), "SchemaError", "types"),
+    (edit(GEN, types=["x\ny", "z"]), "SchemaError", "types"),
+    (edit(GEN, types=["a", "a"]), "SchemaError", "types"),
+    # a ratio of h or nu, a member or a raw mean past the double range
+    (edit(GEN, h=[1e10, 1.0], rhos={"1": 1e300}), "SchemaError", "rhos.1"),
+    (edit(GEN, h=DROP, nu=[1e10, 1.0], rhos={"1": 1e300}), "SchemaError", "rhos.1"),
+    (edit(GEN, h=[1e-200, 1e200]), "SchemaError", "h"),
+    (edit(GEN, h=DROP, nu=[1e-200, 1e200]), "SchemaError", "nu"),
+    (edit(GEN, rhos={"1": 5e-324}), "SchemaError", "rhos.1"),
+    (edit(GEN, h=[1.0, 1.0], rhos={"1": 1.5e308},
+          lifetime={"pmf": [0.0, 1.0], "death_prob": 0.9}), "SchemaError", "rhos.1"),
 ]
 
 
@@ -190,6 +209,38 @@ def test_document_error(command, flag, doc, error, field, tmp_path, capsys):
     assert _run(command, flag, doc, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error:{error}: {field}:"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_type_names_that_stay_allowed():
+    # only a comma, a quote, CR, LF and a repeat break the CSV
+    names = ["β", "nan", "inf", "x\x00y", "\ud800"]
+    doc = dict(FIB, types=names, initial=0, offspring={"kind": "poisson", "means": {
+        d: np.ones((5, 5)).tolist() for d in ("1", "2")}})
+    assert parse_config(json.dumps(doc)).type_names == tuple(names)
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_DIGITS = json.dumps(FIB).replace('"initial": 0', '"initial": ' + "1" * 5000).encode()
+_NOT_UTF8 = json.dumps(dict(FIB, types=["\xe9"]), ensure_ascii=False).encode("latin-1")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
+    ["limits", "--horizon", "5"], ["paths", "--s", "4"],
+    ["simulate", "--horizon", "5", "--replicas", "2", "--seed", "1"], ["generate"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("data", [_DEEP, _DIGITS, _NOT_UTF8], ids=["deep", "digits", "latin-1"])
+def test_undecodable_document(argv, data, tmp_path, capsys):
+    # a document nested past the recursion limit, an integer past Python's
+    # digit limit or bytes that are not UTF-8: one typed line, exit 1
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    flag = "--input" if argv[0] == "generate" else "--config"
+    assert dispatch([argv[0], flag, str(path), *argv[1:], "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:SchemaError: <document>:"), err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
@@ -287,8 +338,9 @@ def models(draw):
                                                       max_size=3).map(tuple))
     initial = draw(st.integers(0, n - 1)
                    | st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n).map(tuple))
-    return ModelSpec(type_names=tuple(draw(st.lists(st.text(max_size=3), min_size=n,
-                                                    max_size=n))),
+    names = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=3)
+    return ModelSpec(type_names=tuple(draw(st.lists(names, min_size=n, max_size=n,
+                                                    unique=True))),
                      delay_family=DelayFamily(tuple(delays)), offspring=offspring,
                      lifetime=LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=death_prob),
                      initial=initial)
