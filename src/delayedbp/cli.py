@@ -232,15 +232,34 @@ def emit_json(obj, indent: int = 0) -> str:
 
 @contextmanager
 def _output(out: str | None):
-    """The file ``out`` opened for writing, or stdout when ``out`` is None."""
+    """The file ``out`` opened for writing bytes, or stdout's byte stream."""
     if out is None:
-        yield sys.stdout
+        sys.stdout.flush()  # text written before goes out first
+        yield sys.stdout.buffer
     else:
-        with open(out, "w") as fh:
+        with open(out, "wb") as fh:
             yield fh
 
 
 _CSV_CHUNK = 1024  # rows built and written at a time: cache-sized numpy work
+
+
+def _chunks(shape, first):
+    """Blocks of at most _CSV_CHUNK entries that cover the C-order index of
+    ``shape`` read as a (shape[0], W) matrix: whole rows of it, or pieces of
+    one row when W is longer.  Yields (rows, piece, keys): the block's two
+    slices of that matrix and its index along each axis of ``shape``, with
+    ``first`` added to the leading one."""
+    width = math.prod(shape[1:])
+    step, span = max(1, _CSV_CHUNK // width), min(width, _CSV_CHUNK)
+    lead, inner = np.divmod(np.arange(step * span), span)
+    tail = np.unravel_index(inner, shape[1:])  # the same in every block of whole rows
+    for a in range(0, shape[0], step):
+        for lo in range(0, width, span):
+            n = (min(a + step, shape[0]) - a) * min(span, width - lo)
+            keys = tail if lo == 0 else np.unravel_index(inner[:n] + lo, shape[1:])
+            yield (slice(a, a + step), slice(lo, lo + span),
+                   [lead[:n] + (first + a), *(k[:n] for k in keys)])
 
 
 def _write_csv(out: str | None, header, types, parts):
@@ -250,22 +269,21 @@ def _write_csv(out: str | None, header, types, parts):
     ``first`` added to the leading entry and the last entry written as a name
     from ``types``, then takes its entry of each column.
 
-    Rows are built and written a chunk at a time, so the whole text is never
-    held, and the columns are read in place.
+    Rows are built and written as UTF-8 bytes a chunk at a time, so the whole
+    text is never held, and the columns are read by slices in place.
     """
     from . import csvrows  # building its tables takes milliseconds: only CSV commands pay
 
     names = csvrows.labels(types)
     with _output(out) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(header).encode() + b"\n")
         for first, columns in parts:
             shape = next(c.shape for c in columns if c is not None)
-            total = math.prod(shape)
-            for start in range(0, total, _CSV_CHUNK):
-                index = np.unravel_index(np.arange(start, min(start + _CSV_CHUNK, total)), shape)
-                cells = [None if c is None else c[index] for c in columns]
-                keys = [index[0] + first, *index[1:-1], (names, index[-1])]
-                fh.write(csvrows.rows(keys + cells))
+            # the trailing axes merge: a view of the simulator's and recursion's planes
+            flat = [None if c is None else c.reshape(shape[0], -1) for c in columns]
+            for row, piece, (*keys, last) in _chunks(shape, first):
+                cells = [None if c is None else c[row, piece].ravel() for c in flat]
+                fh.write(csvrows.rows(keys + [(names, last)] + cells))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +534,7 @@ def dispatch(argv) -> int:
                 if generate:
                     parse_config(text)  # what is written must load
                 with _output(args.out) as fh:
-                    fh.write(text + "\n")
+                    fh.write(text.encode() + b"\n")  # ASCII: JSON escapes the rest
         except MemoryError as exc:
             raise OutOfMemoryError(str(exc) or "out of memory") from None
     except (DelayedBPError, ValueError, OSError) as exc:

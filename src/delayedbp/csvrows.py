@@ -1,8 +1,12 @@
 """CSV rows built a chunk at a time in numpy.
 
-``rows`` turns typed columns into the text of their rows: integers as
-``%d``, names by index, floats as ``%.17g`` and empty cells, comma separated,
-one row per line.  The float kernel scales |x| by a double-double power of
+``rows`` turns typed columns into the UTF-8 bytes of their rows: integers
+as ``%d``, names by index (encoded with ``surrogatepass``, so a lone
+surrogate goes out as its three-byte form), floats as ``%.17g`` and empty
+cells, comma separated, one row per line.  The int kernel builds only as
+many 4-digit groups as the chunk's widest value needs, from word tables
+whose leading-group entries already pad the leading zeros.  The float
+kernel scales |x| by a double-double power of
 ten (Dekker's two-product) to a 17-digit integer, renders it through a
 4-digit table and lays each cell out with bytewise word masks taken from
 tables indexed by sign and exponent (the head and the exponent text) and by
@@ -15,7 +19,6 @@ Python's own ``'%.17g'``, so every cell is byte for byte what
 Cells are built padded with a byte that UTF-8 never uses, laid side by side
 in one byte matrix per chunk, and the padding is dropped in one pass.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -72,7 +75,24 @@ def _group_words():
 _T4 = _group_words()
 # trailing zeros of each 4-digit group: four for 0000
 _TZ4 = sum(np.arange(10000) % 10 ** i == 0 for i in range(1, 5)).astype(np.int8)
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _lead_words(zero):
+    """_T4 then the same groups as the leading group of a number, their
+    leading zeros turned to _PAD; the group 0 as a lead is ``zero``."""
+    text = _T4.copy().view(np.uint8).reshape(-1, 4)
+    for i in range(3):  # byte i is a leading zero below 10^(3 - i)
+        text[:10 ** (3 - i), i] = _PAD
+    text[0] = np.frombuffer(zero, np.uint8)
+    return np.concatenate([_T4, text.view(np.uint32).ravel()])
+
+
+# an integer's groups but the last are read from _LEAD and its last group
+# from _LAST, at index group + 10^4 while every higher group is 0: there a
+# zero group is all padding, and a zero last group (the number 0) is "0"
+_LEAD = _lead_words(b"\xff" * 4)
+_LAST = _lead_words(b"\xff\xff\xff0")
+_Q = np.uint64(10000)
 
 # A float cell is built in a 32-byte row of four words:
 #   bytes 0..6    the head, right-aligned: "-", and "0." and zeros for
@@ -122,13 +142,14 @@ def _scale(a, p):
 
 
 def _quads(n, count):
-    """The ``count`` lowest base-10^4 digit groups of ``n``, highest first."""
+    """The ``count`` base-10^4 digit groups of ``n`` < 10^(4 count), highest
+    first."""
     groups = []
-    for _ in range(count):
+    for _ in range(count - 1):
         q = n // 10000
         groups.append(n - q * 10000)  # n % 10000 is slower than a multiply
         n = q
-    return groups[::-1]
+    return [n, *groups[::-1]]
 
 
 def _round17(ax):
@@ -215,16 +236,20 @@ def float_cells(x) -> np.ndarray:
 
 
 def int_cells(v) -> np.ndarray:
-    """(len(v), w) bytes of ``'%d' % v`` per integer, padded with _PAD."""
+    """(len(v), w) bytes of ``'%d' % v`` per integer, padded with _PAD: as
+    many digit groups as the widest value needs, each a word of _LEAD or
+    _LAST, so a chunk of small counts costs one table read per value."""
     v = np.asarray(v, dtype=np.int64)
     u = np.abs(v).astype(np.uint64)  # |int64 min| = 2^63 fits
-    nd = 1 + np.searchsorted(_POW10, u, side="right")
-    width = int(nd.max(initial=1))
-    row = np.empty((len(v), 5), np.uint32)
-    for col, g in enumerate(_quads(u, 5)):
-        row[:, col] = _T4.take(g)
-    cells = row.view(np.uint8)[:, 20 - width:].copy()
-    cells[np.arange(width) < (width - nd)[:, None]] = _PAD
+    width = len(str(u.max(initial=0)))
+    *upper, last = _quads(u, -(-width // 4))
+    row = np.empty((len(v), len(upper) + 1), np.uint32)
+    lead = True  # every higher group is 0
+    for col, g in enumerate(upper):
+        row[:, col] = _LEAD.take(g + _Q * lead)
+        lead = lead & (g == 0)
+    row[:, -1] = _LAST.take(last + _Q * lead)
+    cells = row.view(np.uint8)[:, 4 * row.shape[1] - width:]
     neg = v < 0
     if neg.any():
         sign = np.where(neg, ord("-"), _PAD).astype(np.uint8)
@@ -240,9 +265,9 @@ def labels(names) -> np.ndarray:
     return _bytes(data, max(map(len, data), default=0))
 
 
-def rows(columns) -> str:
-    """The text of one CSV row per line from ``columns``, in order: an int
-    array (``%d``), a float array (``%.17g``), a pair (``labels`` table,
+def rows(columns) -> bytes:
+    """The UTF-8 bytes of one CSV row per line from ``columns``, in order: an
+    int array (``%d``), a float array (``%.17g``), a pair (``labels`` table,
     index array) for names, or None for an empty cell.  The int columns are
     formatted in one kernel call, and so are the float columns."""
     m = next(len(c[1] if isinstance(c, tuple) else c) for c in columns if c is not None)
@@ -253,18 +278,18 @@ def rows(columns) -> str:
     formatted = {}
     for key, fmt in (("i", int_cells), ("f", float_cells)):
         group = [c for c in columns if isinstance(c, np.ndarray) and kind(c) == key]
-        if group:
-            block = fmt(np.stack(group, axis=1).ravel()).reshape(m, len(group), -1)
-            formatted[key] = iter(block.transpose(1, 0, 2))
-    slots = [None if c is None else c[0][c[1]] if isinstance(c, tuple) else next(formatted[kind(c)])
-             for c in columns]
+        if group:  # column after column: each slot is one block of the cells
+            formatted[key] = iter(fmt(np.concatenate(group)).reshape(len(group), m, -1))
+    slots = [None if c is None else c[0].take(c[1], axis=0) if isinstance(c, tuple)
+             else next(formatted[kind(c)]) for c in columns]
     buf = np.empty((m, sum(0 if s is None else s.shape[1] for s in slots) + len(slots)), np.uint8)
     at = 0
     for s in slots:
-        if s is not None:
-            buf[:, at:at + s.shape[1]] = s
+        if s is not None and s.shape[1]:  # one item per row: faster than a byte matrix
+            cell = np.dtype((np.void, s.shape[1]))
+            buf[:, at:at + s.shape[1]].view(cell)[:, 0] = s.view(cell)[:, 0]
             at += s.shape[1]
         buf[:, at] = ord(",")
         at += 1
     buf[:, -1] = ord("\n")
-    return str(buf[buf != _PAD], "utf-8", "surrogatepass")
+    return buf.tobytes().translate(None, bytes([_PAD]))

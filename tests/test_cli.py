@@ -697,6 +697,82 @@ class TestCsvFormat:
         assert want.count("\n") > 3 * cli_mod._CSV_CHUNK
         assert dump.read_text() == want
 
+    @pytest.mark.parametrize("chunk", [1024, 60, 10])
+    def test_dump_matches_the_row_format_across_widths(self, chunk, tmp_path, monkeypatch):
+        # replica numbers cross 9 -> 10 and 99 -> 100, and the counts of a
+        # supercritical model grow past one 4-digit group; chunks of whole
+        # replica rows (1024, 60) and of pieces of one replica's rows (10)
+        from delayedbp import cli as cli_mod
+
+        horizon, replicas, seed = 16, 120, 3
+        monkeypatch.setattr(sim_mod, "block_rows", lambda horizon, n_types, split_cells=0: 50)
+        monkeypatch.setattr(cli_mod, "_CSV_CHUNK", chunk)
+        doc = dict(FIB_CONFIG, types=["a", "b"], initial=[1, 1], offspring={
+            "kind": "poisson", "means": {"1": [[1.0, 0.5], [0.5, 1.0]],
+                                         "2": [[0.5, 0.5], [0.5, 0.5]]}})
+        path = tmp_path / "super.json"
+        path.write_text(json.dumps(doc))
+        out, dump = tmp_path / "sim.csv", tmp_path / "dump.csv"
+        assert dispatch(["simulate", "--config", str(path), "--horizon", str(horizon),
+                         "--replicas", str(replicas), "--seed", str(seed),
+                         "--out", str(out), "--dump", str(dump)]) == 0
+
+        model = parse_config(json.dumps(doc))
+        blocks = list(sim_mod.replica_blocks(model, horizon, replicas, seed))
+        assert [len(b.counts) for b in blocks] == [50, 50, 20]
+        counts = np.concatenate([b.counts for b in blocks]).transpose(0, 2, 3, 1)
+        assert counts.max() >= 10 ** 4
+        want = self._reference("replica,s,type,x,z,y", "%s,%s,%s,%d,%d,%d",
+                               itertools.product(range(replicas), range(horizon + 1),
+                                                 model.type_names), counts)
+        assert want.count("\n") > 3 * cli_mod._CSV_CHUNK
+        assert dump.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--horizon", "40"],
+        ["simulate", "--horizon", "40", "--replicas", "3", "--seed", "5"],
+        ["simulate", "--horizon", "40", "--replicas", "3", "--seed", "5", "--dump"]],
+        ids=["evolve", "simulate", "simulate+dump"])
+    def test_lone_surrogate_names_are_written(self, argv, tmp_path, capsys):
+        # written as the labels encode them, with surrogatepass
+        from delayedbp.model import censored_mean_matrices
+        from delayedbp.recursion import evolve_means
+
+        names = ["u", "\ud800", "w\udfff"]
+        doc = dict(THREE_TYPE_CONFIG, types=names, initial=[2, 0, 1])
+        path = tmp_path / "surrogates.json"
+        path.write_text(json.dumps(doc))
+        out, dump = tmp_path / "out.csv", tmp_path / "dump.csv"
+        if argv[-1] == "--dump":
+            argv = argv + [str(dump)]
+        assert dispatch(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 0
+        assert capsys.readouterr() == ("", "")
+
+        model = parse_config(json.dumps(doc))
+        horizon = 40
+        keys = list(itertools.product(range(horizon + 1), names))
+        if argv[0] == "evolve":
+            traj = evolve_means(model, censored_mean_matrices(model), horizon)
+            want = self._reference("s,type,ex,ez,ey,wx,wz,wy", "%s,%s" + ",%.17g" * 6, keys,
+                                   np.stack((traj.ex, traj.ez, traj.ey,
+                                             traj.wx, traj.wz, traj.wy), axis=-1))
+        else:
+            stats = sim_mod.ensemble(model, horizon, 3, 5)
+            want = self._reference("s,type,mean_x,se_x,mean_z,se_z,mean_y,se_y",
+                                   "%s,%s" + ",%.17g" * 6, keys,
+                                   np.stack((stats.mean_x, stats.se_x, stats.mean_z,
+                                             stats.se_z, stats.mean_y, stats.se_y), axis=-1))
+        assert out.read_bytes().decode("utf-8", "surrogatepass") == want
+        if argv[-1] == str(dump):
+            blocks = list(sim_mod.replica_blocks(model, horizon, 3, 5))
+            counts = np.concatenate([b.counts for b in blocks]).transpose(0, 2, 3, 1)
+            want = self._reference("replica,s,type,x,z,y", "%s,%s,%s,%d,%d,%d",
+                                   itertools.product(range(3), range(horizon + 1), names),
+                                   counts)
+            assert dump.read_bytes().decode("utf-8", "surrogatepass") == want
+        else:
+            assert not dump.exists()
+
     @pytest.mark.parametrize("names", [["nan", "inf", "w"], ["β", "ñu", "井"]])
     @pytest.mark.parametrize("to_file", [False, True])
     def test_single_replica_matches_the_empty_se_row(self, names, to_file, tmp_path, capsys):

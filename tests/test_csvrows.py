@@ -89,6 +89,29 @@ class TestIntCells:
                             [0, -1, 1, info.min, info.max], rng.integers(-50, 50, 500)])
         assert _texts(csvrows.int_cells(v)) == ["%d" % n for n in v.tolist()]
 
+    @pytest.mark.parametrize("negatives", [False, True])
+    @pytest.mark.parametrize("digits", range(1, 20))
+    def test_each_width_matches_percent_d(self, digits, negatives):
+        # the widest value sets how many digit groups a call builds, so each
+        # width is a call of its own
+        top = min(10 ** digits - 1, np.iinfo(np.int64).max)
+        rng = np.random.default_rng(digits)
+        v = np.concatenate([[top, 10 ** (digits - 1), 0],
+                            rng.integers(0, top, 300, endpoint=True),
+                            rng.integers(0, 10 ** rng.integers(0, digits, 300)),
+                            10 ** np.arange(digits) - 1, 10 ** np.arange(digits)])
+        if negatives:
+            v[1::2] *= -1
+        assert len(str(np.abs(v).max())) == digits
+        assert _texts(csvrows.int_cells(v)) == ["%d" % n for n in v.tolist()]
+
+    @pytest.mark.parametrize("v", [
+        [9999, 0, 1], [10000, 9999, 0], [99999999, 10000, 5], [10 ** 8, 99999999, 0],
+        [np.iinfo(np.int64).max, 0, 10 ** 8], [np.iinfo(np.int64).min, -1, 0],
+        [np.iinfo(np.int64).min, np.iinfo(np.int64).max], [-9999, 10000]])
+    def test_group_boundaries_and_int64_limits(self, v):
+        assert _texts(csvrows.int_cells(v)) == ["%d" % n for n in v]
+
 
 class TestRows:
     @pytest.mark.parametrize("names", [["u", "v", "w"], ["nan", "inf", "β-ñ"],
@@ -100,7 +123,8 @@ class TestRows:
         t = np.arange(m) % 3
         a, b = rng.lognormal(0.0, 40.0, m), rng.standard_normal(m)
         counts = rng.integers(0, 10 ** 12, m)
-        text = csvrows.rows([s, (csvrows.labels(names), t), a, None, b, counts, None])
+        data = csvrows.rows([s, (csvrows.labels(names), t), a, None, b, counts, None])
+        text = data.decode("utf-8", "surrogatepass")
         want = "".join("%s,%s,%.17g,,%.17g,%d,\n" % (s[i], names[t[i]], a[i], b[i], counts[i])
                        for i in range(m))
         assert text == want
