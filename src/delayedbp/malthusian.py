@@ -11,7 +11,7 @@ in the mixture's pair (h, nu) at the root, so no D*n matrix is needed: the
 left vector nu_c(d) = rho_hat^{-(d-1)} nu gives a Collatz-Wielandt bound on
 |rho_hat - r(companion)|, reported as ``companion_residual``.
 The dense companion (``build_companion``) is kept as an oracle for tests.
-Every P-F solve runs at ``spectral.PF_TOL``; none re-checks irreducibility.
+Every P-F solve runs at ``spectral.PF_TOL``; only ``family_pf`` checks irreducibility.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def solve_malthusian(family) -> MalthusianSolution:
     |g| <= ``ROOT_TOL`` or |g| no smaller than before (g's rounding floor),
     since beta_D magnifies an error in theta D times; ``MAX_NEWTON``
     evaluations without that raise NoConvergenceError.  The matrix norms
-    that scale the terms are taken once, before the first evaluation.
+    that scale the terms are taken once, after ``family_pf`` has refused
+    any reducible member with NonIrreducibleError.
 
     The step distribution beta_d = exp(log rho_d - theta*d) sums to one
     exactly when the family shares P-F eigenvectors; otherwise a warning is

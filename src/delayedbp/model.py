@@ -21,7 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import (DuplicateDelayError, HorizonTooLargeError, NegativeEntryError,
-                     NonIrreducibleError, SchemaError, TailDivergesError)
+                     SchemaError, TailDivergesError)
 
 _NORM_TOL = 1e-12
 MAX_DELAY = 2 ** 53  # weights e^{-theta d} take d as a double, exact up to 2^53
@@ -344,15 +344,14 @@ class MeanMatrixFamily:
 
     Matrices are stored in delay order; ``matrix(d)`` fetches by delay and
     returns the zero matrix for delays outside the family.  Every stored
-    matrix is validated nonnegative and irreducible at construction.
+    matrix is validated square and nonnegative at construction; the P-F
+    solves that need irreducibility check it (``spectral.family_pf``).
     """
 
     delays: tuple[int, ...]
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        from .spectral import is_irreducible  # deferred: spectral imports this module
-
         delays = DelayFamily(self.delays).delays  # integers in [1, 2^53], no duplicate
         if list(delays) != list(self.delays):
             raise SchemaError("delays", f"must be strictly increasing, got {list(self.delays)}")
@@ -368,8 +367,6 @@ class MeanMatrixFamily:
                 raise ValueError("matrices have inconsistent sizes")
             if np.any(m < 0):
                 raise NegativeEntryError(f"M[{d}]", float(m.min()))
-            if not is_irreducible(m):
-                raise NonIrreducibleError(d)
             m.setflags(write=False)
             mats.append(m)
         object.__setattr__(self, "delays", delays)
@@ -423,21 +420,15 @@ def death_prob_by_age(lifetime: LifetimeLaw, d: int) -> float:
 
 
 def censored_mean_matrices(model: ModelSpec) -> MeanMatrixFamily:
-    """Derive M_d(i,j) = E[z_d^{i,j}] * (1 - P(L <= d, death)) for every delay.
-
-    Raises NonIrreducibleError when any resulting matrix is reducible.
-    """
-    mats = _censored_matrices(model)
-    return MeanMatrixFamily(tuple(mats), tuple(mats.values()))
-
-
-def _censored_matrices(model: ModelSpec) -> dict[int, np.ndarray]:
-    """M_d by delay, with E[z_d] read from ``offspring_table``, the laws the
-    simulator draws from."""
+    """Derive M_d(i,j) = E[z_d^{i,j}] * (1 - P(L <= d, death)) for every delay,
+    with E[z_d] read from ``offspring_table``, the laws the simulator draws
+    from."""
     table = model.offspring_table
     means = table if model.offspring.kind == "poisson" else table @ np.arange(table.shape[-1])
-    return {d: m * (1.0 - death_prob_by_age(model.lifetime, d))
-            for d, m in zip(model.delay_family, means)}
+    lt, delays = model.lifetime, model.delay_family.delays
+    # P(L <= d, death) may round above one on a pmf that sums to 1 + 1e-12
+    return MeanMatrixFamily(delays, tuple(m * max(0.0, 1.0 - death_prob_by_age(lt, d))
+                                          for d, m in zip(delays, means)))
 
 
 @dataclass(frozen=True)
@@ -469,10 +460,10 @@ def validate(model: ModelSpec) -> ValidationReport:
     from .spectral import is_irreducible, period
 
     delays = model.delay_family.delays
-    mats = _censored_matrices(model)
-    irreducible = [is_irreducible(m) for m in mats.values()]
+    family = censored_mean_matrices(model)
+    irreducible = [is_irreducible(m) for m in family.matrices]
     g = model.delay_family.gcd
-    p = period(mats) if all(irreducible) else g
+    p = period(family) if all(irreducible) else g
     checks = [ValidationCheck(
         "delay gcd", "pass" if p == 1 else "warn",
         f"gcd({list(delays)}) = {g}" + (f"; period {p}" if p != g else ""))]

@@ -86,10 +86,9 @@ def enumerate_lambda(delays, s: int, r: int | None = None) -> list[StepCountVect
         for k in range(remaining // d + 1):
             rec(idx + 1, remaining - k * d, prefix + (k,))
 
-    rec(0, s, ())
+    rec(0, s, ())  # counts ascend in the first delay's, then the next's, ...
     if r is not None:
         out = [k for k in out if k.r == r]
-    out.sort(key=lambda k: k.counts)
     return out
 
 
@@ -384,7 +383,9 @@ def xi_by_sampling(family, mal, s: int, n_samples: int, seed) -> SamplingEstimat
     probs = probs / probs.sum()
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    steps = np.stack([w / p for w, p in zip(mal.weighted.values(), probs)]) if n > 1 else None
+    # a delay whose beta underflowed to 0 is never drawn: its step stays zero
+    steps = np.stack([w / p if p else np.zeros_like(w)
+                      for w, p in zip(mal.weighted.values(), probs)]) if n > 1 else None
 
     sums = np.zeros((n, n))
     sq_sums = np.zeros((n, n))

@@ -7,8 +7,8 @@ may differ.  Shared families admit closed-form long-run behavior, and products
 of their normalized members are uniformly bounded by the eigenvector weight
 ratio.  Constructors for shared families (from a stochastic matrix plus a
 target eigenvector) and a commutation test are included.
-Every tolerance is a module constant.  Irreducibility is checked where a
-matrix enters, by ``pf_decompose`` or MeanMatrixFamily, not again per solve.
+Every tolerance is a module constant.  ``pf_decompose`` and ``family_pf``
+check irreducibility, once per matrix; no solve checks it again.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NegativeEntryError, NoConvergenceError, NotStochasticError,
-                     SchemaError)
+from .errors import (NegativeEntryError, NoConvergenceError, NonIrreducibleError,
+                     NotStochasticError, SchemaError)
+from .model import MeanMatrixFamily
 
 PF_TOL = 1e-12  # P-F residual bound of every solve, times max(1, rho)
 SHARING_TOL = 1e-8
-COMMUTE_TOL = 1e-10
+COMMUTE_TOL = 1e-10  # on the commutators of the members scaled to unit norm
 MAX_ITERS = 50  # shift-and-invert solves per side; 4-6 from A1, 0-2 warm
 
 
@@ -60,8 +61,7 @@ def is_irreducible(m: np.ndarray) -> bool:
 
 def period(family) -> int:
     """The gcd of the cycle lengths of the family's graph, which has an edge
-    i -> j of length d wherever M_d(i, j) > 0; 1 means aperiodic.  ``family``
-    is a MeanMatrixFamily or a dict of matrices keyed by delay.
+    i -> j of length d wherever M_d(i, j) > 0; 1 means aperiodic.
 
     A frontier search from type 0 records one path length dist(j) to every
     type.  Every cycle length is a sum of the edge defects
@@ -187,8 +187,11 @@ def _pf_solve(m: np.ndarray, start: PFData | None) -> PFData:
 def family_pf(family) -> dict[int, PFData]:
     """P-F data for every matrix in a MeanMatrixFamily, keyed by delay; each
     solve is offered the previous delay's pair as its start, so on a shared
-    family every delay after the first needs no LU solve.  MeanMatrixFamily
-    checked each member irreducible."""
+    family every delay after the first needs no LU solve.  A reducible member
+    raises NonIrreducibleError (the first one) before any solve."""
+    for d, mat in family.items():
+        if not is_irreducible(mat):
+            raise NonIrreducibleError(d)
     pf, prev = {}, None
     for d, mat in family.items():
         pf[d] = prev = _pf_solve(mat, prev)
@@ -290,8 +293,6 @@ def construct_shared_family_reversed(p: np.ndarray, nu: np.ndarray, rhos: dict[i
 @np.errstate(over="ignore", under="ignore")  # a value past the double range is refused
 def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
     """M_d = rho_d * P * vec(i)/vec(j), or rho_d * vec(j)/vec(i) * P' reversed."""
-    from .model import MeanMatrixFamily
-
     p = _check_stochastic(p)
     vec = np.asarray(vec, dtype=float)
     if np.any(vec <= 0):
@@ -314,12 +315,13 @@ def _shared_family(p, vec, name: str, rhos: dict[int, float], reverse: bool):
 
 
 def commute_check(family) -> bool:
-    """True iff all pairs of family matrices commute within ``COMMUTE_TOL``
-    (infinity norm of the commutator).  Commuting families always share
-    P-F eigenvectors."""
-    mats = list(family.matrices)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if matrix_inf_norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > COMMUTE_TOL:
+    """True iff all pairs of family matrices, each scaled to unit infinity
+    norm so that no scale matters and no product overflows, commute within
+    ``COMMUTE_TOL``; a NaN commutator does not.  Commuting families always
+    share P-F eigenvectors."""
+    mats = [m / nm if (nm := matrix_inf_norm(m)) > 0 else m for m in family.matrices]
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            if not matrix_inf_norm(a @ b - b @ a) <= COMMUTE_TOL:
                 return False
     return True

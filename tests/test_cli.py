@@ -526,6 +526,81 @@ class TestDispatch:
         assert "run_fraction" not in json.loads(capsys.readouterr().out)
 
 
+class TestReducibleMember:
+    # each member is reducible and their sum is positive: a region pair that
+    # infects only at some delays
+    MEANS = {"1": [[0.5, 0.8], [0.0, 0.6]], "2": [[0.3, 0.0], [0.7, 0.4]]}
+
+    @staticmethod
+    def _config(tmp_path, means):
+        doc = dict(FIB_CONFIG, types=["a", "b"], lifetime={"pmf": [0.0, 1.0]},
+                   offspring={"kind": "poisson", "means": means})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_paths_combinatorics_answer(self, tmp_path, capsys):
+        # the classes and run fractions read the delays alone
+        outs = []
+        for means in (self.MEANS, {"1": [[1.0, 1.0]] * 2, "2": [[1.0, 1.0]] * 2}):
+            argv = ["paths", "--config", self._config(tmp_path, means), "--s", "6",
+                    "--kappa", "2"]
+            assert dispatch(argv) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[0].err == ""
+
+    def test_validate_reports_each_member(self, tmp_path, capsys):
+        assert dispatch(["validate", "--config", self._config(tmp_path, self.MEANS)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert [(c["name"], c["status"], c["detail"]) for c in doc["checks"]
+                if c["name"] == "delay gcd" or c["name"].startswith("irreducibility")] == [
+            ("delay gcd", "pass", "gcd([1, 2]) = 1"),
+            ("irreducibility of M_1", "fail", "reducible"),
+            ("irreducibility of M_2", "fail", "reducible")]
+
+    @pytest.mark.parametrize("argv", [["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
+                                      ["limits"],
+                                      ["paths", "--s", "6", "--samples", "100", "--seed", "1"]])
+    def test_pf_subcommands_refuse(self, argv, tmp_path, capsys):
+        config = self._config(tmp_path, self.MEANS)
+        assert dispatch([argv[0], "--config", config, *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error:NonIrreducibleError: mean matrix at delay 1 "
+                                  "is reducible\n")
+
+    def test_option_error_comes_first(self, tmp_path, capsys):
+        config = self._config(tmp_path, self.MEANS)
+        assert dispatch(["paths", "--config", config, "--s", "6", "--upsilon", "2",
+                         "--alpha", "5", "--delta", "0.1"]) == 1
+        assert capsys.readouterr().err.startswith("error:SchemaError: --alpha")
+
+
+def test_sampler_skips_an_underflowed_delay_silently(tmp_path):
+    # beta_200 underflows to 0; the sampler used to divide W_200 by it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    doc = dict(FIB_CONFIG, types=["a", "b"], delays=[1, 200], lifetime={"pmf": [0.0, 1.0]},
+               offspring={"kind": "poisson", "means": {"1": [[500.0, 500.0], [500.0, 500.0]],
+                                                       "200": [[1.0, 2.0], [2.0, 1.0]]}})
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "delayedbp", "paths", "--config", str(path),
+                           "--s", "6", "--samples", "1000", "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert np.allclose(doc["kernel_estimate"]["estimate"], doc["kernel_exact"], rtol=1e-12, atol=0)
+
+
 class TestModelToConfig:
     def test_serialization_is_strict_schema(self, fib_model):
         text = json.dumps(model_to_config(fib_model))
@@ -989,7 +1064,7 @@ class TestSpectralSolvesOnce:
         assert len(calls) - solve == solve
 
     def test_irreducibility_checked_once_per_delay(self, tmp_path, capsys, monkeypatch):
-        # MeanMatrixFamily checks each member; the P-F solves do not check again
+        # family_pf checks each member once; the P-F solves do not check again
         config, calls = self._shared_config(tmp_path), []
         real = spec_mod.is_irreducible
         monkeypatch.setattr(spec_mod, "is_irreducible",

@@ -8,7 +8,9 @@ import pytest
 from delayedbp import (DelayFamily, DuplicateDelayError, HorizonTooLargeError, LifetimeLaw,
                        MeanMatrixFamily, ModelSpec, NegativeEntryError,
                        NonIrreducibleError, OffspringLaw, SchemaError, TailDivergesError,
-                       censored_mean_matrices, death_prob_by_age, validate)
+                       censored_mean_matrices, death_prob_by_age, family_pf,
+                       shared_pf_check, solve_malthusian, validate)
+from delayedbp import malthusian as mal_mod, spectral as spec_mod
 from delayedbp.cli import model_to_config, parse_config
 from conftest import make_fibonacci_model
 
@@ -317,14 +319,29 @@ class TestCensoredMeans:
         assert fam.matrix(2)[0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_zero_matrix_is_reducible(self):
+        # the family keeps the zero member; the P-F entries refuse it
         model = ModelSpec(
             type_names=("a",),
             delay_family=DelayFamily((1, 2)),
             offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[0.0]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
-        with pytest.raises(NonIrreducibleError) as exc:
-            censored_mean_matrices(model)
-        assert exc.value.delay == 2
+        fam = censored_mean_matrices(model)
+        assert fam.matrix(2)[0, 0] == 0.0
+        for solve in (family_pf, shared_pf_check, solve_malthusian):
+            with pytest.raises(NonIrreducibleError) as exc:
+                solve(fam)
+            assert exc.value.delay == 2
+
+    def test_death_probability_rounding_above_one_censors_to_zero(self):
+        # the pmf sums to 1 + 1e-13, within the law's tolerance, so
+        # P(L <= 3, death) rounds above one; the mean is zero, not negative
+        model = ModelSpec(
+            type_names=("a",),
+            delay_family=DelayFamily((3,)),
+            offspring=OffspringLaw(kind="poisson", means={3: [[2.0]]}),
+            lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5000000000001), death_prob=1.0))
+        assert death_prob_by_age(model.lifetime, 3) > 1.0
+        assert censored_mean_matrices(model).matrix(3)[0, 0] == 0.0
 
     def test_censored_below_raw(self):
         rng = np.random.default_rng(11)
@@ -357,9 +374,20 @@ class TestMeanMatrixFamily:
         with pytest.raises(NegativeEntryError):
             MeanMatrixFamily((1,), (np.array([[-1.0]]),))
 
-    def test_reducible_rejected(self):
-        with pytest.raises(NonIrreducibleError):
-            MeanMatrixFamily((1,), (np.array([[1.0, 1.0], [0.0, 1.0]]),))
+    def test_reducible_rejected(self, monkeypatch):
+        # a plain container: every P-F entry refuses the first reducible
+        # member, delay 2 here, before any solve
+        positive, reducible = np.ones((2, 2)), np.array([[1.0, 1.0], [0.0, 1.0]])
+        fam = MeanMatrixFamily((1, 2, 3), (positive, reducible, reducible.T))
+        assert np.array_equal(fam.matrix(2), reducible)
+        solves = []
+        monkeypatch.setattr(spec_mod, "_pf_solve", lambda *a: solves.append(a))
+        monkeypatch.setattr(mal_mod, "_pf_solve", lambda *a: solves.append(a))
+        for solve in (family_pf, shared_pf_check, solve_malthusian):
+            with pytest.raises(NonIrreducibleError) as exc:
+                solve(fam)
+            assert exc.value.delay == 2
+        assert solves == []
 
     def test_immutability(self, fib_family):
         with pytest.raises(ValueError):

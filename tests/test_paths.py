@@ -31,6 +31,23 @@ class TestEnumerateLambda:
     def test_three_delays_span_six(self):
         assert len(enumerate_lambda((1, 2, 3), 6)) == 7
 
+    def test_unsorted_delays_span_four(self):
+        ks = enumerate_lambda((3, 1, 2), 4)
+        assert [(k.delays, k.counts) for k in ks] == [
+            ((1, 2, 3), (0, 2, 0)), ((1, 2, 3), (1, 0, 1)),
+            ((1, 2, 3), (2, 1, 0)), ((1, 2, 3), (4, 0, 0))]
+
+    @pytest.mark.parametrize("delays", [(1, 2, 3), (2, 5), (1, 3, 4, 7), (3, 4, 5, 6, 7),
+                                        (7, 1, 4, 3), (5, 2)])
+    def test_classes_ascend_lexicographically(self, delays):
+        # the order the recursion emits, with or without the length filter
+        for s in range(25):
+            for r in (None, 4):
+                ks = enumerate_lambda(delays, s, r=r)
+                counts = [k.counts for k in ks]
+                assert all(k.delays == tuple(sorted(delays)) for k in ks)
+                assert all(a < b for a, b in zip(counts, counts[1:]))
+
     def test_length_filter(self):
         ks = enumerate_lambda((1, 2), 6, r=4)
         assert [k.counts for k in ks] == [(2, 2)]
@@ -332,6 +349,19 @@ class TestXiBySampling:
         est = xi_by_sampling(fam, sol, 8, 20000, seed=5)
         exact = xi_kernel(fam, 8)
         assert np.all(np.abs(est.estimate - exact) <= 4 * est.stderr)
+
+    def test_delay_with_underflowed_beta_is_never_drawn(self):
+        # beta_200 = 3 e^{-200 theta} underflows to 0, so is W_200: the step
+        # weight W_200 / p_200 is zero, not 0/0, and Xi(6) = M_1^6
+        fam = MeanMatrixFamily((1, 200), (np.full((2, 2), 500.0),
+                                          np.array([[1.0, 2.0], [2.0, 1.0]])))
+        sol = solve_malthusian(fam)
+        assert sol.beta[200] == 0.0
+        est = xi_by_sampling(fam, sol, 6, 1000, seed=1)
+        exact = xi_kernel(fam, 6)
+        assert np.array_equal(exact, np.full((2, 2), 2.0 ** 5 * 500.0 ** 6))
+        assert np.allclose(est.estimate, exact, rtol=1e-12, atol=0)
+        assert np.all(np.isfinite(est.stderr))
 
     def test_scale_beyond_double_range(self):
         # theta * s is about 829, so exp(theta * s) overflows a double

@@ -5,9 +5,9 @@ import pytest
 
 from delayedbp import (DegenerateDenominatorError, HorizonTooLargeError,
                        LifetimeLaw, MeanMatrixFamily, PeriodicFamilyError,
-                       TailDivergesError, age_distribution, evolve_means,
-                       shared_pf_check, solve_malthusian, stationary_check,
-                       theorem_limits, xi_kernel)
+                       TailDivergesError, age_distribution, build_companion,
+                       evolve_means, shared_pf_check, solve_malthusian,
+                       stationary_check, theorem_limits, xi_by_enumeration, xi_kernel)
 from conftest import (PHI, make_fibonacci_model, make_shared_family,
                       poisson_model_from_family, random_positive_family)
 from delayedbp.model import censored_mean_matrices
@@ -425,6 +425,30 @@ class TestAgeDistribution:
     def test_requires_s_beyond_max_delay(self, fib_model, fib_family):
         with pytest.raises(ValueError):
             age_distribution(fib_model, fib_family, 2)
+
+
+class TestReducibleMembers:
+    # no P-F solve reads the members alone, so a family whose members are
+    # each reducible, with an irreducible sum, answers
+    @pytest.fixture
+    def family(self):
+        return MeanMatrixFamily((1, 2), (np.array([[0.5, 0.8], [0.0, 0.6]]),
+                                         np.array([[0.3, 0.0], [0.7, 0.4]])))
+
+    def test_kernel_matches_enumeration(self, family):
+        total, _ = xi_by_enumeration(family, 9)
+        assert np.allclose(xi_kernel(family, 9), total, rtol=1e-13, atol=0)
+
+    def test_companion_root_zeroes_the_mixture(self, family):
+        rho = build_companion(family).pf.rho
+        m1, m2 = family.matrices
+        assert max(abs(np.linalg.eigvals(m1 / rho + m2 / rho ** 2))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_age_distribution(self, family):
+        model = poisson_model_from_family(family, LifetimeLaw(pmf=(0.0, 0.0, 0.0, 1.0)))
+        ages = age_distribution(model, family, 12)
+        assert np.all(ages > 0)
+        assert np.allclose(ages.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 class TestStationaryCheck:

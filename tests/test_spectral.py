@@ -428,6 +428,24 @@ class TestCommuteCheck:
                                         np.array([[2.0, 1.0], [1.0, 1.0]])))
         assert not commute_check(fam)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e167])
+    def test_small_and_huge_non_commuting_pair(self, scale):
+        # the commutator's norm is 2e-14 at scale 1, below an absolute 1e-10,
+        # and overflows to NaN at 1e167; the scaled pair commutes in neither
+        a = np.full((2, 2), 1e-7 * scale)
+        b = np.array([[1e-7, 3e-7], [1e-7, 1e-7]]) * scale
+        fam = MeanMatrixFamily((1, 2), (a, b))
+        assert not commute_check(fam)
+        assert not shared_pf_check(fam).shared
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_commuting_family_at_any_scale(self, scale):
+        # products of the raw members would underflow or overflow (a numpy
+        # warning, an error under this suite's filters)
+        m = np.array([[1.0, 2.0], [3.0, 1.0]])
+        mats = (m, m @ m + m, 7.0 * np.eye(2) + m)
+        assert commute_check(MeanMatrixFamily((1, 2, 3), tuple(scale * a for a in mats)))
+
     def test_commuting_implies_shared(self):
         # polynomials in one irreducible matrix commute and must share
         rng = np.random.default_rng(61)
