@@ -8,13 +8,13 @@ ratio.
 
 import math
 
-from delayedbp import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
+from delayedbp import (LifetimeLaw, ModelSpec, OffspringLaw,
                        censored_mean_matrices, evolve_means, solve_malthusian,
                        validate)
 
 model = ModelSpec(
     type_names=("a",),
-    delay_family=DelayFamily((1, 2)),
+    delays=(1, 2),
     offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[1.0]]}),
     lifetime=LifetimeLaw(pmf=(0.0, 0.0, 0.0, 1.0)),  # L = 3
     initial=0,

@@ -12,7 +12,7 @@ import numpy as np
 from delayedbp import (LifetimeLaw, age_distribution, commute_check,
                        construct_shared_family, shared_pf_check,
                        solve_malthusian, stationary_check, theorem_limits)
-from delayedbp.model import DelayFamily, ModelSpec, OffspringLaw
+from delayedbp.model import ModelSpec, OffspringLaw
 
 P = np.array([[0.6, 0.3, 0.1],
               [0.2, 0.5, 0.3],
@@ -29,7 +29,7 @@ print("matrices commute?", commute_check(family), "(sharing does not require it)
 lifetime = LifetimeLaw(pmf=(0.2, 0.1, 0.3, 0.4), death_prob=0.05)
 model = ModelSpec(
     type_names=("north", "center", "south"),
-    delay_family=DelayFamily((1, 2, 3)),
+    delays=(1, 2, 3),
     offspring=OffspringLaw(kind="poisson",
                            means={d: family.matrix(d) for d in family.delays}),
     lifetime=lifetime,

@@ -29,12 +29,12 @@ print("independent growth root:", sol.rho_hat,
       " certified bound on the gap:", sol.companion_residual)
 
 # --- critical one-type model: means flatten at 1/mu -------------------------
-from delayedbp import DelayFamily, ModelSpec, OffspringLaw
+from delayedbp import ModelSpec, OffspringLaw
 
 half = MeanMatrixFamily((1, 2), (np.array([[0.5]]), np.array([[0.5]])))
 model = ModelSpec(
     type_names=("a",),
-    delay_family=DelayFamily((1, 2)),
+    delays=(1, 2),
     offspring=OffspringLaw(kind="poisson", means={1: [[0.5]], 2: [[0.5]]}),
     lifetime=LifetimeLaw(pmf=(0.0, 1.0)),
 )

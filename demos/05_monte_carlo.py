@@ -8,13 +8,13 @@ models die out fast.
 
 import numpy as np
 
-from delayedbp import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
+from delayedbp import (LifetimeLaw, ModelSpec, OffspringLaw,
                        censored_mean_matrices, ensemble, evolve_means,
                        extinction_consistency, simulate_replica)
 
 model = ModelSpec(
     type_names=("a",),
-    delay_family=DelayFamily((1, 2)),
+    delays=(1, 2),
     offspring=OffspringLaw(kind="poisson", means={1: [[0.55]], 2: [[0.55]]}),
     lifetime=LifetimeLaw(pmf=(0.3, 0.2, 0.5), death_prob=0.1),
     initial=0,

@@ -16,8 +16,8 @@ from .errors import (AllTruncatedError, CapExceededError, DelayedBPError,
                      NoConvergenceError, NonIrreducibleError,
                      NotStochasticError, OutOfMemoryError,
                      PeriodicFamilyError, SchemaError, TailDivergesError)
-from .model import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
-                    OffspringLaw, ValidationReport, censored_mean_matrices,
+from .model import (LifetimeLaw, MeanMatrixFamily, ModelSpec, OffspringLaw,
+                    ValidationReport, censored_mean_matrices,
                     death_prob_by_age, validate)
 from .spectral import (PFData, SharedPFReport, commute_check,
                        construct_shared_family,

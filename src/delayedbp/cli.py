@@ -28,8 +28,8 @@ from . import recursion as rec_mod
 from . import simulate as sim_mod
 from . import spectral as spec_mod
 from .errors import DelayedBPError, OutOfMemoryError, SchemaError
-from .model import (DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw,
-                    censored_mean_matrices, death_prob_by_age, validate)
+from .model import (LifetimeLaw, ModelSpec, OffspringLaw, censored_mean_matrices,
+                    death_prob_by_age, validate)
 
 _LAW_FIELDS = {"poisson": "means", "pmf": "pmfs"}  # offspring kind -> its table
 
@@ -100,7 +100,6 @@ def parse_config(text: str) -> ModelSpec:
     delays = doc["delays"]
     _require(isinstance(delays, list) and all(type(d) is int for d in delays),
              "delays", "must be a list of integers")
-    delay_family = DelayFamily(tuple(delays))
 
     off = _object(doc["offspring"], {"kind", *_LAW_FIELDS.values()}, (), "offspring")
     kind = off.get("kind")
@@ -116,7 +115,7 @@ def parse_config(text: str) -> ModelSpec:
                          lambda grid, where: _parse_grid(grid, len(types), where,
                                                          pmfs=field == "pmfs"))
 
-    return ModelSpec(type_names=tuple(types), delay_family=delay_family,
+    return ModelSpec(type_names=tuple(types), delays=delays,
                      offspring=OffspringLaw(kind=kind, **{field: table}),
                      lifetime=_parse_lifetime(doc["lifetime"]),
                      initial=_parse_initial(doc.get("initial", 0)))
@@ -185,8 +184,8 @@ def model_to_config(model: ModelSpec) -> dict:
     lifetime = {"pmf": lt.pmf, "tail_ratio": lt.tail_ratio, "death_prob": lt.death_prob}
     doc = {
         "types": model.type_names,
-        "delays": model.delay_family.delays,
-        "offspring": {"kind": off.kind, field: {str(d): laws[d] for d in model.delay_family}},
+        "delays": model.delays,
+        "offspring": {"kind": off.kind, field: {str(d): laws[d] for d in model.delays}},
         "lifetime": {k: v for k, v in lifetime.items() if v is not None},
         "initial": model.initial,
     }
@@ -245,21 +244,18 @@ _CSV_CHUNK = 1024  # rows built and written at a time: cache-sized numpy work
 
 
 def _chunks(shape, first):
-    """Blocks of at most _CSV_CHUNK entries that cover the C-order index of
-    ``shape`` read as a (shape[0], W) matrix: whole rows of it, or pieces of
-    one row when W is longer.  Yields (rows, piece, keys): the block's two
-    slices of that matrix and its index along each axis of ``shape``, with
-    ``first`` added to the leading one."""
+    """Blocks of whole rows that cover the C-order index of ``shape`` read
+    as a (shape[0], W) matrix: at most _CSV_CHUNK entries, or one row when W
+    is longer.  Yields (rows, keys): the block's slice of that matrix and its
+    index along each axis of ``shape``, with ``first`` added to the leading
+    one."""
     width = math.prod(shape[1:])
-    step, span = max(1, _CSV_CHUNK // width), min(width, _CSV_CHUNK)
-    lead, inner = np.divmod(np.arange(step * span), span)
-    tail = np.unravel_index(inner, shape[1:])  # the same in every block of whole rows
+    step = max(1, _CSV_CHUNK // width)
+    lead, inner = np.divmod(np.arange(step * width), width)
+    tail = np.unravel_index(inner, shape[1:])  # the same in every block
     for a in range(0, shape[0], step):
-        for lo in range(0, width, span):
-            n = (min(a + step, shape[0]) - a) * min(span, width - lo)
-            keys = tail if lo == 0 else np.unravel_index(inner[:n] + lo, shape[1:])
-            yield (slice(a, a + step), slice(lo, lo + span),
-                   [lead[:n] + (first + a), *(k[:n] for k in keys)])
+        n = (min(a + step, shape[0]) - a) * width
+        yield slice(a, a + step), [lead[:n] + (first + a), *(k[:n] for k in tail)]
 
 
 def _write_csv(out: str | None, header, types, parts):
@@ -281,8 +277,8 @@ def _write_csv(out: str | None, header, types, parts):
             shape = next(c.shape for c in columns if c is not None)
             # the trailing axes merge: a view of the simulator's and recursion's planes
             flat = [None if c is None else c.reshape(shape[0], -1) for c in columns]
-            for row, piece, (*keys, last) in _chunks(shape, first):
-                cells = [None if c is None else c[row, piece].ravel() for c in flat]
+            for row, (*keys, last) in _chunks(shape, first):
+                cells = [None if c is None else c[row].ravel() for c in flat]
                 fh.write(csvrows.rows(keys + [(names, last)] + cells))
 
 
@@ -448,7 +444,7 @@ def _cmd_generate(doc, args) -> dict:
             means[d] = family.matrix(d) / keep
         _require(np.isfinite(means[d]).all(), f"rhos.{d}",
                  "the raw means that death censoring needs pass the double range")
-    model = ModelSpec(type_names=tuple(types), delay_family=DelayFamily(family.delays),
+    model = ModelSpec(type_names=tuple(types), delays=family.delays,
                       offspring=OffspringLaw(kind="poisson", means=means),
                       lifetime=lifetime, initial=_parse_initial(doc.get("initial", 0)))
     return model_to_config(model)

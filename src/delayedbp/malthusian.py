@@ -3,7 +3,7 @@
 The growth rate theta = log(rho_hat) is pinned down by requiring the P-F
 eigenvalue of the mixture sum_d rho_hat^{-d} M_d to equal one.  Newton's
 method on the convex log-eigenvalue finds it, started at the analytic lower
-bound log min_d rho_d^{1/d}, from which it climbs monotonically.  The same
+bound log min_d rho_d^{1/d}, from which it climbs, barring rounding.  The same
 rho_hat is the P-F eigenvalue of a companion matrix on the enlarged type
 space {1..D} x types, which turns the delayed process into an ordinary
 multi-type branching process.  The companion's P-F vectors are closed forms
@@ -129,8 +129,10 @@ def solve_malthusian(family) -> MalthusianSolution:
     one, so g(t0) >= 0.  The slope is -sum_d d w_d with weights w_d summing
     to one, so it lies in [-D, -d_min] and is never zero; and g is convex,
     so each Newton step lands at or below the root: the iterates climb to it
-    monotonically.  The search returns the first evaluated theta with
-    |g| <= ``ROOT_TOL`` or |g| no smaller than before (g's rounding floor),
+    monotonically, unless a step's rounding carries one past it (a first
+    step whose sum cancels near zero).  The search returns the first
+    evaluated theta with |g| <= ``ROOT_TOL`` or |g| no smaller than at the
+    previous iterate on the same side of the root (g's rounding floor),
     since beta_D magnifies an error in theta D times; ``MAX_NEWTON``
     evaluations without that raise NoConvergenceError.  The matrix norms
     that scale the terms are taken once, after ``family_pf`` has refused
@@ -149,12 +151,13 @@ def solve_malthusian(family) -> MalthusianSolution:
     rho_d = {d: pf.rho for d, pf in pf_d.items()}
 
     theta = min(math.log(r) / d for d, r in rho_d.items())
-    pf, last, normed = pf_d[family.delays[-1]], math.inf, _normed(family)
+    pf, normed = pf_d[family.delays[-1]], _normed(family)
+    last = {True: math.inf, False: math.inf}  # the last |g| on each side of the root
     for _ in range(MAX_NEWTON):
         g, slope, pf, terms, c = _log_growth(normed, theta, pf)
-        if abs(g) <= ROOT_TOL or abs(g) >= last:
+        if abs(g) <= ROOT_TOL or abs(g) >= last[g > 0]:
             break
-        last = abs(g)
+        last[g > 0] = abs(g)
         theta -= g / slope
     else:
         raise NoConvergenceError(MAX_NEWTON, "Newton's method for the growth rate")

@@ -35,40 +35,22 @@ def _check_unit(field, values):
         raise SchemaError(field, f"entry {bad[0]!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class DelayFamily:
-    """Ordered set of positive integer reproduction ages."""
-
-    delays: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            delays = tuple(map(operator.index, self.delays))
-        except TypeError:
-            raise SchemaError("delays", f"entries must be integers, got {list(self.delays)}") from None
-        if len(delays) == 0:
-            raise SchemaError("delays", "at least one delay is required")
-        if any(d < 1 for d in delays):
-            raise SchemaError("delays", f"entries must be >= 1, got {list(delays)}")
-        if max(delays) > MAX_DELAY:
-            raise SchemaError("delays", f"entries must be <= 2^53, got {max(delays)}")
-        if len(set(delays)) != len(delays):
-            raise DuplicateDelayError(delays)
-        object.__setattr__(self, "delays", tuple(sorted(delays)))
-
-    @property
-    def max_delay(self) -> int:
-        return self.delays[-1]
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(*self.delays)
-
-    def __iter__(self):
-        return iter(self.delays)
-
-    def __len__(self):
-        return len(self.delays)
+def _delay_rule(delays) -> tuple[int, ...]:
+    """``delays`` sorted: the model's reproduction ages, integers in [1, 2^53],
+    at least one and no duplicate."""
+    try:
+        ages = tuple(map(operator.index, delays))
+    except TypeError:
+        raise SchemaError("delays", f"entries must be integers, got {list(delays)}") from None
+    if len(ages) == 0:
+        raise SchemaError("delays", "at least one delay is required")
+    if any(d < 1 for d in ages):
+        raise SchemaError("delays", f"entries must be >= 1, got {list(ages)}")
+    if max(ages) > MAX_DELAY:
+        raise SchemaError("delays", f"entries must be <= 2^53, got {max(ages)}")
+    if len(set(ages)) != len(ages):
+        raise DuplicateDelayError(ages)
+    return tuple(sorted(ages))
 
 
 @dataclass(frozen=True)
@@ -262,15 +244,17 @@ class OffspringLaw:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete process description; immutable once constructed."""
+    """Complete process description; immutable once constructed.  ``delays``,
+    the reproduction ages, are checked first and stored sorted."""
 
     type_names: tuple[str, ...]
-    delay_family: DelayFamily
+    delays: tuple[int, ...]
     offspring: OffspringLaw
     lifetime: LifetimeLaw
     initial: int | tuple[float, ...] = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "delays", _delay_rule(self.delays))
         names = tuple(str(t) for t in self.type_names)
         if len(names) == 0:
             raise SchemaError("types", "at least one type is required")
@@ -283,7 +267,7 @@ class ModelSpec:
         object.__setattr__(self, "type_names", names)
         n = len(names)
         covered = self.offspring.delays_covered
-        for d in sorted(set(covered) ^ set(self.delay_family)):  # the first mismatch
+        for d in sorted(set(covered) ^ set(self.delays)):  # the first mismatch
             if d not in covered:
                 raise SchemaError(f"offspring.{d}", f"no offspring law for delay {d} (key missing)")
             table = "means" if self.offspring.kind == "poisson" else "pmfs"
@@ -316,7 +300,7 @@ class ModelSpec:
         built once: Poisson means as (delays, n, n), or pmfs as (delays, n,
         n, K), padded with zeros to the longest pmf and normalized along the
         last axis."""
-        off, delays = self.offspring, self.delay_family.delays
+        off, delays = self.offspring, self.delays
         if off.kind == "poisson":
             table = np.array([off.means[d] for d in delays])
         else:
@@ -342,17 +326,19 @@ class ModelSpec:
 class MeanMatrixFamily:
     """Censored mean matrices (M_d : d in the delay set).
 
-    Matrices are stored in delay order; ``matrix(d)`` fetches by delay and
-    returns the zero matrix for delays outside the family.  Every stored
-    matrix is validated square and nonnegative at construction; the P-F
-    solves that need irreducibility check it (``spectral.family_pf``).
+    ``delays`` obey the rule of ``ModelSpec.delays``, given in increasing
+    order, and the matrices follow in that order.  ``matrix(d)``
+    fetches by delay and returns the zero matrix for delays outside the
+    family.  Every stored matrix is validated square and nonnegative at
+    construction; the P-F solves that need irreducibility check it
+    (``spectral.family_pf``).
     """
 
     delays: tuple[int, ...]
     matrices: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        delays = DelayFamily(self.delays).delays  # integers in [1, 2^53], no duplicate
+        delays = _delay_rule(self.delays)
         if list(delays) != list(self.delays):
             raise SchemaError("delays", f"must be strictly increasing, got {list(self.delays)}")
         mats = []
@@ -425,7 +411,7 @@ def censored_mean_matrices(model: ModelSpec) -> MeanMatrixFamily:
     from."""
     table = model.offspring_table
     means = table if model.offspring.kind == "poisson" else table @ np.arange(table.shape[-1])
-    lt, delays = model.lifetime, model.delay_family.delays
+    lt, delays = model.lifetime, model.delays
     # P(L <= d, death) may round above one on a pmf that sums to 1 + 1e-12
     return MeanMatrixFamily(delays, tuple(m * max(0.0, 1.0 - death_prob_by_age(lt, d))
                                           for d, m in zip(delays, means)))
@@ -455,15 +441,17 @@ def validate(model: ModelSpec) -> ValidationReport:
 
     Every rule the model constructors enforce reads as a pass.  The delay
     check warns when the family is periodic, which it can be with gcd 1: its
-    detail adds the period when that differs from the gcd.
+    detail adds the period of the mixture's graph (``spectral.period``,
+    read whenever sum_d M_d is irreducible) when that differs from the gcd.
     """
     from .spectral import is_irreducible, period
 
-    delays = model.delay_family.delays
+    delays = model.delays
     family = censored_mean_matrices(model)
     irreducible = [is_irreducible(m) for m in family.matrices]
-    g = model.delay_family.gcd
-    p = period(family) if all(irreducible) else g
+    g = math.gcd(*delays)
+    connected = any(irreducible) or is_irreducible(sum(m > 0 for m in family.matrices))
+    p = period(family) if connected else g  # the mixture's graph, when strongly connected
     checks = [ValidationCheck(
         "delay gcd", "pass" if p == 1 else "warn",
         f"gcd({list(delays)}) = {g}" + (f"; period {p}" if p != g else ""))]

@@ -123,8 +123,8 @@ def simulate_block(model, horizon: int, seed, rows: int,
     if any(abs(v - round(v)) > 1e-9 or v >= 2 ** 62 for v in init):
         raise SchemaError("initial", "simulation needs integer counts below 2^62")
     S = horizon
-    delays = model.delay_family.delays
-    D = model.delay_family.max_delay
+    delays = model.delays
+    D = delays[-1]
     pmf, death = model.lifetime.tables(S + 2)
     # deaths at ages past min(D, S) can never censor in-horizon births
     death = death[1:min(D, S) + 1]

@@ -67,7 +67,7 @@ def period(family) -> int:
     type.  Every cycle length is a sum of the edge defects
     dist(i) + d - dist(j), and every defect is the difference of the lengths
     of two closed walks through type 0, so the gcd of the defects is the
-    period.  The graph must be strongly connected, as it is when any M_d is
+    period.  The graph must be strongly connected, as it is when sum_d M_d is
     irreducible.  Paths have at most n - 1 edges, so dist < n * D: past int64,
     Python integers.
     """

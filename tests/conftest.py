@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delayedbp import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
+from delayedbp import (LifetimeLaw, MeanMatrixFamily, ModelSpec,
                        OffspringLaw, censored_mean_matrices,
                        construct_shared_family)
 
@@ -20,7 +20,7 @@ def make_fibonacci_model(lifetime=None, initial=0):
         lifetime = LifetimeLaw(pmf=(0.0, 0.0, 0.0, 1.0))
     return ModelSpec(
         type_names=("a",),
-        delay_family=DelayFamily((1, 2)),
+        delays=(1, 2),
         offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[1.0]]}),
         lifetime=lifetime,
         initial=initial,
@@ -73,7 +73,7 @@ def poisson_model_from_family(family, lifetime, type_names=None, initial=0):
         type_names = tuple(f"t{i}" for i in range(n))
     return ModelSpec(
         type_names=tuple(type_names),
-        delay_family=DelayFamily(family.delays),
+        delays=family.delays,
         offspring=OffspringLaw(
             kind="poisson",
             means={d: np.array(m) for d, m in family.items()}),

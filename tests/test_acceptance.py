@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from delayedbp import (DelayFamily, LifetimeLaw, MeanMatrixFamily, ModelSpec,
+from delayedbp import (LifetimeLaw, MeanMatrixFamily, ModelSpec,
                        OffspringLaw, age_distribution, censored_mean_matrices,
                        ensemble, evolve_means,
                        extinction_consistency, family_pf,
@@ -204,7 +204,7 @@ def test_criterion_10_monte_carlo_unbiasedness():
 
     sub = ModelSpec(
         type_names=("a",),
-        delay_family=DelayFamily((1,)),
+        delays=(1,),
         offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
         lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
     sub_stats = ensemble(sub, 200, replicas=10_000, seed=404)
@@ -213,7 +213,7 @@ def test_criterion_10_monte_carlo_unbiasedness():
     # pathwise extinction ordering on a model with asymptomatics
     mixed = ModelSpec(
         type_names=("a",),
-        delay_family=DelayFamily((1, 2)),
+        delays=(1, 2),
         offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
         lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
     records = [simulate_replica(mixed, 60, seed=(505, k)) for k in range(2000)]
@@ -222,7 +222,7 @@ def test_criterion_10_monte_carlo_unbiasedness():
     determined = [(det[:, 0], time[:, 0]) for det, time in (r.extinction() for r in records)
                   if det[0, 0]]
     assert determined
-    D = mixed.delay_family.max_delay
+    D = mixed.delays[-1]
     assert all(det[2] and time[2] <= time[0] + D for det, time in determined)
     _report("10 Monte Carlo unbiasedness, extinction frequency, pathwise ordering")
 

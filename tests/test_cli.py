@@ -37,13 +37,20 @@ class TestParseConfig:
     def test_minimal_fibonacci(self):
         model = parse_config(json.dumps(FIB_CONFIG))
         assert model.type_names == ("a",)
-        assert model.delay_family.delays == (1, 2)
+        assert model.delays == (1, 2)
         assert model.lifetime.tables(4)[0][3] == 1.0
 
     def test_duplicate_delay(self):
         doc = dict(FIB_CONFIG, delays=[2, 2])
         doc["offspring"] = {"kind": "poisson", "means": {"2": [[1.0]]}}
         with pytest.raises(DuplicateDelayError):
+            parse_config(json.dumps(doc))
+
+    def test_delay_rule_follows_the_decoded_fields(self):
+        # ModelSpec applies the delay rule, after the offspring, lifetime
+        # and initial values are built: their errors come first
+        doc = dict(FIB_CONFIG, delays=[2, 2], lifetime={"pmf": [0.3, 0.5]})
+        with pytest.raises(SchemaError, match="lifetime.pmf"):
             parse_config(json.dumps(doc))
 
     def test_unnormalized_lifetime_rejected(self):
@@ -605,7 +612,7 @@ class TestModelToConfig:
     def test_serialization_is_strict_schema(self, fib_model):
         text = json.dumps(model_to_config(fib_model))
         model = parse_config(text)
-        assert model.delay_family.delays == fib_model.delay_family.delays
+        assert model.delays == fib_model.delays
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +782,8 @@ class TestCsvFormat:
     @pytest.mark.parametrize("chunk", [1024, 60, 10])
     def test_dump_matches_the_row_format_across_widths(self, chunk, tmp_path, monkeypatch):
         # replica numbers cross 9 -> 10 and 99 -> 100, and the counts of a
-        # supercritical model grow past one 4-digit group; chunks of whole
-        # replica rows (1024, 60) and of pieces of one replica's rows (10)
+        # supercritical model grow past one 4-digit group; chunks of several
+        # replica rows (1024, 60) and of one replica row wider than a chunk (10)
         from delayedbp import cli as cli_mod
 
         horizon, replicas, seed = 16, 120, 3
@@ -968,7 +975,12 @@ _HOSTILE = {"delay-1e12": {"delays": [1, 10 ** 12]}, "delay-2^63": {"delays": [1
             "rho-6.47": {"means": [4.0, 16.0], "lifetime": {"pmf": [0.0, 0.5, 0.5]}},
             "mean-1e-8-50-ages": {"delays": [1], "means": [1e-8],
                                   "lifetime": {"pmf": [0.02] * 50}},
-            "mean-1e12": {"delays": [1], "means": [1e12]}}
+            "mean-1e12": {"delays": [1], "means": [1e12]},
+            # Newton's first step cancels past the root, then overshoots back
+            "root-overshoot": {"delays": [1, 7951821443290740], "means": [10 ** -4.25, 10.0],
+                               "lifetime": {"pmf": [0.0, 1.0]}},
+            "root-overshoot-unit": {"delays": [1, 7951821443290740], "means": [10 ** -4.25, 1.0],
+                                    "lifetime": {"pmf": [0.0, 1.0]}}}
 _SUBCOMMANDS = [["validate"], ["spectral"], ["malthusian"], ["evolve", "--horizon", "5"],
                 ["limits", "--horizon", "5"],
                 ["paths", "--s", "6", "--kappa", "2", "--samples", "100", "--seed", "1"],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayedbp import DelayFamily, LifetimeLaw, ModelSpec, OffspringLaw
+from delayedbp import LifetimeLaw, ModelSpec, OffspringLaw
 from delayedbp.cli import dispatch, emit_json, model_to_config, parse_config
 
 FIB = {
@@ -341,7 +341,7 @@ def models(draw):
     names = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=3)
     return ModelSpec(type_names=tuple(draw(st.lists(names, min_size=n, max_size=n,
                                                     unique=True))),
-                     delay_family=DelayFamily(tuple(delays)), offspring=offspring,
+                     delays=tuple(delays), offspring=offspring,
                      lifetime=LifetimeLaw(pmf=pmf, tail_ratio=tail, death_prob=death_prob),
                      initial=initial)
 
@@ -355,7 +355,7 @@ def _bits(x):
 
 def assert_same_model(a, b):
     assert a.type_names == b.type_names
-    assert a.delay_family.delays == b.delay_family.delays
+    assert a.delays == b.delays
     assert a.offspring.kind == b.offspring.kind
     table = "means" if a.offspring.kind == "poisson" else "pmfs"
     ta, tb = getattr(a.offspring, table), getattr(b.offspring, table)

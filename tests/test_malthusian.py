@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delayedbp
@@ -196,6 +196,10 @@ class TestRootAtEveryDelayScale:
     @given(st.integers(1, 53).flatmap(lambda k: st.integers(2 ** (k - 1) + 1, 2 ** k)),
            st.floats(-8.0, 8.0), st.floats(-300.0, 300.0))
     @settings(max_examples=300, deadline=None)
+    # the first step cancels to just past the root and the second overshoots
+    # back below it, to a larger |g|: the floor stop must not fire there
+    @example(D=7951821443290740, log_m1=-4.25, log_md=1.0)
+    @example(D=7951821443290740, log_m1=-4.25, log_md=0.0)
     def test_step_weights_sum_to_one(self, D, log_m1, log_md):
         # one type on {1, D}: the step weights must sum to one exactly, so a
         # root off by eps in theta shows as an error of about D * eps

@@ -5,7 +5,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from delayedbp import (DelayFamily, DuplicateDelayError, HorizonTooLargeError, LifetimeLaw,
+from delayedbp import (DuplicateDelayError, HorizonTooLargeError, LifetimeLaw,
                        MeanMatrixFamily, ModelSpec, NegativeEntryError,
                        NonIrreducibleError, OffspringLaw, SchemaError, TailDivergesError,
                        censored_mean_matrices, death_prob_by_age, family_pf,
@@ -17,39 +17,48 @@ from conftest import make_fibonacci_model
 import json
 
 
+def _one_type(delays, means=None):
+    """A one-type model on ``delays``, with offspring at delay 1 unless given."""
+    return ModelSpec(type_names=("a",), delays=delays,
+                     offspring=OffspringLaw(kind="poisson", means=means or {1: [[0.5]]}),
+                     lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+
+
 class TestDelayFamily:
+    """The delay rule, held by ModelSpec and MeanMatrixFamily: integers in
+    [1, 2^53], at least one, no duplicate, stored sorted."""
+
     def test_sorted_and_properties(self):
-        fam = DelayFamily((3, 1, 2))
-        assert fam.delays == (1, 2, 3)
-        assert fam.max_delay == 3
-        assert fam.gcd == 1
+        model = _one_type((3, 1, 2), {d: [[0.3]] for d in (1, 2, 3)})
+        assert model.delays == (1, 2, 3)
+        assert censored_mean_matrices(model).max_delay == 3
+        byname = {c.name: c for c in validate(model).checks}
+        assert byname["delay gcd"].detail == "gcd([1, 2, 3]) = 1"
 
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicateDelayError):
-            DelayFamily((2, 2))
+            _one_type((2, 2), {2: [[0.5]]})
+        with pytest.raises(DuplicateDelayError):
+            MeanMatrixFamily((2, 2), (np.array([[0.5]]),) * 2)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            DelayFamily((0, 1))
+            _one_type((0, 1))
 
     def test_delays_past_two_to_the_53_rejected(self):
         # every weight e^{-theta d} takes d as a double, exact up to 2^53
-        assert DelayFamily((1, 2 ** 53)).max_delay == 2 ** 53
+        assert _one_type((1, 2 ** 53), {1: [[0.5]], 2 ** 53: [[0.5]]}).delays[-1] == 2 ** 53
         with pytest.raises(SchemaError, match=r"delays: .*2\^53"):
-            DelayFamily((1, 2 ** 53 + 1))
+            _one_type((1, 2 ** 53 + 1))
 
     def test_single_delay_is_ordinary(self):
         # a lone delay {1} is an ordinary branching process: nothing to report
-        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)),
-                          offspring=OffspringLaw(kind="poisson", means={1: [[1.5]]}),
-                          lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        model = _one_type((1,), {1: [[1.5]]})
         assert all(c.status == "pass" for c in validate(model).checks)
 
     def test_gcd_warns(self):
         # a gcd above 1 is legal; validate, not the constructor, reports it
-        fam = DelayFamily((2, 4))
-        assert fam.gcd == 2
-        model = ModelSpec(type_names=("a",), delay_family=fam,
+        model = ModelSpec(type_names=("a",), delays=(2, 4),
                           offspring=OffspringLaw(kind="poisson", means={2: [[0.5]], 4: [[0.5]]}),
                           lifetime=LifetimeLaw(pmf=(0.0, 0.0, 0.0, 0.0, 1.0)))
         byname = {c.name: c for c in validate(model).checks}
@@ -57,8 +66,9 @@ class TestDelayFamily:
 
     @pytest.mark.parametrize("delays", [(1.5, 2), (1, float("nan")), (1, float("inf")), ("1",)])
     def test_non_integer_rejected(self, delays):
+        # the rule runs before any other check of the model
         with pytest.raises(SchemaError) as exc:
-            DelayFamily(delays)
+            _one_type(delays)
         assert exc.value.field == "delays"
 
 
@@ -190,7 +200,7 @@ class TestDeathProbByAge:
     def test_huge_delay_validates_fast(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1, 10 ** 6)),
+            delays=(1, 10 ** 6),
             offspring=OffspringLaw(kind="poisson", means={1: [[0.5]], 10 ** 6: [[0.5]]}),
             lifetime=LifetimeLaw(pmf=(0.2, 0.3), tail_ratio=0.9, death_prob=0.5))
         start = time.perf_counter()
@@ -312,7 +322,7 @@ class TestCensoredMeans:
         lt = LifetimeLaw(pmf=(0.0, 0.5, 0.0, 0.5), death_prob=(0.5, 0.0, 0.0))
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((2,)),
+            delays=(2,),
             offspring=OffspringLaw(kind="poisson", means={2: [[2.0]]}),
             lifetime=lt)
         fam = censored_mean_matrices(model)
@@ -322,7 +332,7 @@ class TestCensoredMeans:
         # the family keeps the zero member; the P-F entries refuse it
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1, 2)),
+            delays=(1, 2),
             offspring=OffspringLaw(kind="poisson", means={1: [[1.0]], 2: [[0.0]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         fam = censored_mean_matrices(model)
@@ -337,7 +347,7 @@ class TestCensoredMeans:
         # P(L <= 3, death) rounds above one; the mean is zero, not negative
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((3,)),
+            delays=(3,),
             offspring=OffspringLaw(kind="poisson", means={3: [[2.0]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5000000000001), death_prob=1.0))
         assert death_prob_by_age(model.lifetime, 3) > 1.0
@@ -350,7 +360,7 @@ class TestCensoredMeans:
             lt = LifetimeLaw(pmf=tuple(pmf), death_prob=float(rng.uniform(0.1, 1)))
             means = {d: rng.uniform(0.1, 2.0, size=(2, 2)) for d in (1, 2, 3)}
             model = ModelSpec(type_names=("a", "b"),
-                              delay_family=DelayFamily((1, 2, 3)),
+                              delays=(1, 2, 3),
                               offspring=OffspringLaw(kind="poisson", means=means),
                               lifetime=lt)
             fam = censored_mean_matrices(model)
@@ -359,7 +369,7 @@ class TestCensoredMeans:
 
     def test_pmf_offspring_means(self):
         off = OffspringLaw(kind="pmf", pmfs={1: [[(0.25, 0.5, 0.25)]]})
-        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)), offspring=off,
+        model = ModelSpec(type_names=("a",), delays=(1,), offspring=off,
                           lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         assert censored_mean_matrices(model).matrix(1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -427,7 +437,7 @@ class TestModelSpec:
     def test_missing_delay_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             ModelSpec(type_names=("a",),
-                      delay_family=DelayFamily((1, 2)),
+                      delays=(1, 2),
                       offspring=OffspringLaw(kind="poisson", means={1: [[1.0]]}),
                       lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
 
@@ -446,13 +456,30 @@ class TestValidate:
         ]:
             model = ModelSpec(
                 type_names=tuple("ab"[:len(means)]),
-                delay_family=DelayFamily(delays),
+                delays=delays,
                 offspring=OffspringLaw(kind="poisson", means={d: means for d in delays}),
                 lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
             report = validate(model)
             byname = {c.name: c for c in report.checks}
             assert (byname["delay gcd"].status, byname["delay gcd"].detail) == ("warn", detail)
             assert report.ok  # warnings do not fail validation
+
+    def test_period_of_the_mixture_graph(self):
+        # neither member is irreducible, but their mixture is, and its one
+        # cycle 0 -(1)-> 1 -(3)-> 0 has length 4 although gcd([1, 3]) = 1
+        model = ModelSpec(type_names=("a", "b"), delays=(1, 3),
+                          offspring=OffspringLaw(kind="poisson", means={
+                              1: [[0.0, 0.9], [0.0, 0.0]], 3: [[0.0, 0.0], [0.8, 0.0]]}),
+                          lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        byname = {c.name: c for c in validate(model).checks}
+        assert (byname["delay gcd"].status, byname["delay gcd"].detail) == (
+            "warn", "gcd([1, 3]) = 1; period 4")
+        # the mixture's graph is read from the signs, so no sum overflows
+        big = ModelSpec(type_names=("a", "b"), delays=(1, 2),
+                        offspring=OffspringLaw(kind="poisson", means={
+                            1: [[0.0, 1e308], [0.0, 0.0]], 2: [[0.0, 1e308], [0.0, 0.0]]}),
+                        lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
+        assert validate(big).checks[0].detail == "gcd([1, 2]) = 1"
 
     def test_lifetime_mass_passes(self):
         # LifetimeLaw owns the rule, so every law that builds passes
@@ -464,7 +491,7 @@ class TestValidate:
     def test_check_strings(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1, 2)),
+            delays=(1, 2),
             offspring=OffspringLaw(kind="pmf",
                                    pmfs={1: [[(0.5, 0.5)]], 2: [[(0.0, 1.0)]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 0.0, 1.0), death_prob=1.0))
@@ -493,7 +520,7 @@ class TestConfigRoundTrip:
         means = {d: rng.uniform(0.05, 1.7, size=(3, 3)) for d in (1, 3)}
         model = ModelSpec(
             type_names=("u", "v", "w"),
-            delay_family=DelayFamily((1, 3)),
+            delays=(1, 3),
             offspring=OffspringLaw(kind="poisson", means=means),
             lifetime=LifetimeLaw(pmf=(0.1, 0.2, 0.3), tail_ratio=0.4,
                                  death_prob=(0.05, 0.1, 0.2)),
@@ -507,7 +534,7 @@ class TestConfigRoundTrip:
     def test_pmf_round_trip(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1, 2)),
+            delays=(1, 2),
             offspring=OffspringLaw(kind="pmf",
                                    pmfs={1: [[(0.5, 0.5)]], 2: [[(0.25, 0.5, 0.25)]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 1.0)))

@@ -52,9 +52,9 @@ class TestEvolveMeans:
         # per step
         rng = np.random.default_rng(139)
         means = {d: rng.uniform(0.1, 0.5, size=(4, 4)) for d in (1, 2, 4)}
-        from delayedbp import DelayFamily, ModelSpec, OffspringLaw
+        from delayedbp import ModelSpec, OffspringLaw
         model = ModelSpec(type_names=("a", "b", "c", "d"),
-                          delay_family=DelayFamily((1, 2, 4)),
+                          delays=(1, 2, 4),
                           offspring=OffspringLaw(kind="poisson", means=means),
                           lifetime=LifetimeLaw(pmf=(0.2, 0.3, 0.2), tail_ratio=0.6,
                                                death_prob=0.1),
@@ -120,9 +120,9 @@ class TestEvolveMeans:
             model = poisson_model_from_family(
                 MeanMatrixFamily((1, 2), (means[1], means[2])), lt)
             # rebuild with censoring applied through the model route
-            from delayedbp import DelayFamily, ModelSpec, OffspringLaw
+            from delayedbp import ModelSpec, OffspringLaw
             model = ModelSpec(type_names=("a", "b"),
-                              delay_family=DelayFamily((1, 2)),
+                              delays=(1, 2),
                               offspring=OffspringLaw(kind="poisson", means=means),
                               lifetime=lt)
             fam = censored_mean_matrices(model)

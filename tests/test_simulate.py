@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
-from delayedbp import (AllTruncatedError, DelayFamily, LifetimeLaw, ModelSpec,
+from delayedbp import (AllTruncatedError, LifetimeLaw, ModelSpec,
                        OffspringLaw, SchemaError, censored_mean_matrices, ensemble,
                        evolve_means, extinction_consistency, simulate_replica)
 from delayedbp.simulate import (BLOCK_BYTES, ReplicaBlock, _multinomial, _poisson,
@@ -16,7 +16,7 @@ from conftest import make_fibonacci_model
 def subcritical_model():
     return ModelSpec(
         type_names=("a",),
-        delay_family=DelayFamily((1,)),
+        delays=(1,),
         offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
         lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
 
@@ -43,7 +43,7 @@ class TestSimulateReplica:
     def test_no_offspring_immediate_extinction(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1,)),
+            delays=(1,),
             offspring=OffspringLaw(kind="pmf", pmfs={1: [[(1.0,)]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 1.0)))
         rec = simulate_replica(model, 10, seed=7)
@@ -54,7 +54,7 @@ class TestSimulateReplica:
     @pytest.mark.parametrize("initial", [(0.5,), (2.0 ** 62,), (1e30,)])
     def test_initial_counts_must_fit(self, initial):
         # integer counts below 2^62, the int64 headroom, or a SchemaError
-        model = ModelSpec(type_names=("a",), delay_family=DelayFamily((1,)),
+        model = ModelSpec(type_names=("a",), delays=(1,),
                           offspring=OffspringLaw(kind="poisson", means={1: [[0.5]]}),
                           lifetime=LifetimeLaw(pmf=(0.0, 1.0)), initial=initial)
         with pytest.raises(SchemaError, match="initial"):
@@ -69,7 +69,7 @@ class TestSimulateReplica:
         if det[1, 0]:
             assert time[1, 0] == 0
         # asymptomatic presence is exactly the trailing window of births
-        D = model.delay_family.max_delay
+        D = model.delays[-1]
         for s in range(13):
             window = rec.x[0, max(0, s - D):s + 1].sum()
             assert rec.y[0, s, 0] == window
@@ -129,7 +129,7 @@ class TestEnsemble:
     def test_all_truncated(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1,)),
+            delays=(1,),
             offspring=OffspringLaw(kind="pmf", pmfs={1: [[(0.0, 0.0, 1.0)]]}),
             lifetime=LifetimeLaw(pmf=(0.0, 1.0)))  # always two children
         with pytest.raises(AllTruncatedError):
@@ -185,7 +185,7 @@ class TestBlocks:
     def test_replica_blocks_size_pmf_blocks_by_split(self, monkeypatch):
         pmfs = {d: [[[0.6, 0.3, 0.1], [0.8, 0.2]], [[0.9, 0.1], [0.5, 0.3, 0.2]]]
                 for d in (1, 2)}
-        model = ModelSpec(type_names=("a", "b"), delay_family=DelayFamily((1, 2)),
+        model = ModelSpec(type_names=("a", "b"), delays=(1, 2),
                           offspring=OffspringLaw(kind="pmf", pmfs=pmfs),
                           lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5)), initial=(1, 1))
         seen = []
@@ -198,7 +198,7 @@ class TestBlocks:
     def test_offspring_table_built_once_per_ensemble(self, monkeypatch):
         pmfs = {d: [[[0.6, 0.3, 0.1], [0.8, 0.2]], [[0.9, 0.1], [0.5, 0.3, 0.2]]]
                 for d in (1, 3)}
-        model = ModelSpec(type_names=("a", "b"), delay_family=DelayFamily((1, 3)),
+        model = ModelSpec(type_names=("a", "b"), delays=(1, 3),
                           offspring=OffspringLaw(kind="pmf", pmfs=pmfs),
                           lifetime=LifetimeLaw(pmf=(0.0, 0.5, 0.5)), initial=(2, 1))
         builds = []
@@ -278,7 +278,7 @@ class TestMonteCarloCoverage:
     def test_pmf_offspring(self):
         model = ModelSpec(
             type_names=("u", "v"),
-            delay_family=DelayFamily((1, 2)),
+            delays=(1, 2),
             offspring=OffspringLaw(kind="pmf", pmfs={
                 1: [[(0.6, 0.3, 0.1), (0.7, 0.3)], [(0.5, 0.2, 0.2, 0.1), (0.8, 0.2)]],
                 2: [[(0.8, 0.2), (0.5, 0.5)], [(0.9, 0.1), (0.6, 0.2, 0.2)]]}),
@@ -294,7 +294,7 @@ class TestMonteCarloCoverage:
                  for d, w in ((1, 1.0), (2, 0.8), (4, 0.5))}
         model = ModelSpec(
             type_names=("a", "b", "c"),
-            delay_family=DelayFamily((1, 2, 4)),
+            delays=(1, 2, 4),
             offspring=OffspringLaw(kind="poisson", means=means),
             lifetime=LifetimeLaw(pmf=(0.15, 0.25), tail_ratio=0.6,
                                  death_prob=(0.05, 0.1, 0.3)),
@@ -316,13 +316,13 @@ class TestExtinctionConsistency:
     def test_pathwise_ordering_subcritical(self):
         model = ModelSpec(
             type_names=("a",),
-            delay_family=DelayFamily((1, 2)),
+            delays=(1, 2),
             offspring=OffspringLaw(kind="poisson", means={1: [[0.3]], 2: [[0.3]]}),
             lifetime=LifetimeLaw(pmf=(0.5, 0.25, 0.25)))
         records = [simulate_replica(model, 60, seed=(41, k)) for k in range(300)]
         report = extinction_consistency(records)
         assert report.ok
-        D = model.delay_family.max_delay
+        D = model.delays[-1]
         both = [time[:, 0] for det, time in (r.extinction() for r in records)
                 if det[0, 0] and det[2, 0]]
         assert both, "expected determined extinctions in a subcritical run"
